@@ -23,7 +23,7 @@ from .closed_form_solver import (
     solve_conv_multi,
     table,
 )
-from .convolution_oracle import conv2, conv_multi, multi_index_sum_direct
+from .convolution_oracle import conv2, conv_multi, conv_multi_prefix, multi_index_sum_direct
 from .identity_catalog import (
     Identity,
     kernel_check,
@@ -53,6 +53,7 @@ __all__ = [
     "shifted_gf",
     "conv2",
     "conv_multi",
+    "conv_multi_prefix",
     "multi_index_sum_direct",
     "Identity",
     "kernel_check",

@@ -17,7 +17,7 @@ from . import closed_form_solver as solver
 from . import expressions as ex
 from . import identity_catalog as catalog
 from . import pattern_search
-from .convolution_oracle import conv_multi
+from .convolution_oracle import conv_multi_prefix
 from .sequences import handle, resolve
 from .series_algebra import NotAPowerSeries
 
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return _dispatch(args)
-    except (solver.SolverError, ValueError, KeyError, NotAPowerSeries) as exc:
+    except (solver.SolverError, ValueError, KeyError, NotAPowerSeries, OSError) as exc:
         detail = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": type(exc).__name__, "detail": detail}))
         return 2
@@ -125,7 +125,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_conv(args) -> int:
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
-    values = [conv_multi(factors, n) for n in range(args.n + 1)]
+    values = conv_multi_prefix(factors, args.n)
     if args.format == "json":
         print(json.dumps({
             "factors": [resolve(f).name for f in factors],
@@ -195,8 +195,7 @@ def _cmd_solve(args) -> int:
 def _cmd_table(args) -> int:
     cells = solver.table(args.max, oracle_n=args.oracle_n)
     if args.format == "json":
-        out = [dict(c, closed_form=c["closed_form"]) for c in cells]
-        print(json.dumps(out))
+        print(json.dumps(cells))
     else:
         for c in cells:
             status = "ok" if c["gf_equal"] and c["oracle_ok"] else "FAIL"

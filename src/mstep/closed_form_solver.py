@@ -25,14 +25,15 @@ equality against a reference expression is always decided by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expressions as ex
-from .convolution_oracle import conv_multi
+from .convolution_oracle import conv_multi_prefix
 from .identity_catalog import Identity, combo_eventually_null, verify_numeric
 from .sequences import RecurrenceSpec, handle, make_mstep, mstep_name, resolve
-from .series_algebra import Poly, RatFun, bezout, gf_of, poly_gcd, shifted_gf
+from .series_algebra import Poly, RatFun, bezout, combo_gf, gf_of, poly_gcd
 
 
 class SolverError(Exception):
@@ -86,28 +87,37 @@ class ClosedForm:
     oracle_max_n: int = -1
 
     def evaluate(self, n: int):
-        acc = Fraction(self.corrections.get(n, 0))
+        denom = self._denominator()
+        acc = 0
         for name, combo in self.parts:
             h = handle(name)
             for s, c in combo.items():
-                acc += c * h.term(n + s)
-        return acc
+                acc += c.numerator * (denom // c.denominator) * h.term(n + s)
+        return Fraction(acc, denom) + self.corrections.get(n, 0)
+
+    def _denominator(self) -> int:
+        """Least common denominator of the part coefficients."""
+        denom = 1
+        for _, combo in self.parts:
+            for c in combo.values():
+                denom = math.lcm(denom, c.denominator)
+        return denom
 
     def gf(self) -> RatFun:
-        """Reconstructed generating function of the closed form."""
+        """Generating function rebuilt from the printed parts and corrections,
+        one fraction per part (see ``combo_gf``)."""
         acc = RatFun(Poly())
-        for name, combo in self.parts:
-            spec = resolve(name)
-            for s, c in combo.items():
-                acc = acc + RatFun(Poly.const(c)) * shifted_gf(spec, s)
         if self.corrections:
             top = max(self.corrections)
-            acc = acc + RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
+            acc = RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
+        for name, combo in self.parts:
+            acc = acc + combo_gf(resolve(name), combo)
         return acc
 
     def check_oracle(self, n_max: int = 100) -> bool:
         """Compare against the brute-force convolution for 0 <= n <= n_max."""
-        ok = all(self.evaluate(n) == conv_multi(self.factors, n) for n in range(n_max + 1))
+        values = conv_multi_prefix(self.factors, n_max)
+        ok = all(self.evaluate(n) == v for n, v in enumerate(values))
         if ok:
             self.oracle_max_n = max(self.oracle_max_n, n_max)
         return ok
@@ -132,10 +142,7 @@ class ClosedForm:
 
     # -- rendering -----------------------------------------------------------
     def _render(self, symbols, term_fmt, wrap_fmt, corr_fmt) -> str:
-        denom = 1
-        for _, combo in self.parts:
-            for c in combo.values():
-                denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = self._denominator()
         pieces = []
         for name, combo in self.parts:
             for s in sorted(combo, reverse=True):
@@ -180,12 +187,6 @@ class ClosedForm:
             lambda d, body: f"\\frac{{1}}{{{d}}}\\left( {body} \\right)",
             lambda extra: f" + \\text{{corrections: {extra}}}",
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- the general partial-fraction solver -----------------------------------------
@@ -285,7 +286,7 @@ def _fraction_to_shifts(spec: RecurrenceSpec, a: Poly):
         combo = {}
         for k, c in enumerate(a.coeffs):
             if c:
-                combo[val - k] = c / c0
+                combo[val - k] = Fraction(c, c0)
         return combo, Poly()
     alpha, beta, g1 = bezout(num, g.den)
     if g1.degree > 0:
@@ -353,12 +354,13 @@ class CaseDerivation:
     cross_checked: bool = field(default=False)
 
 
-def derive_case(m: int, p: int) -> CaseDerivation:
+def derive_case(m: int, p: int, cf: ClosedForm | None = None) -> CaseDerivation:
     """Reproduce the stacking derivation for conv(F^(m), F^(m+p)).
 
     Emits the aligned restricted convolution with its explicit other-terms
     and the resulting closed form, then cross-checks the closed form
-    against the independent partial-fraction solver.
+    against the independent partial-fraction solver.  ``cf`` is that
+    solver's closed form when the caller has already solved the cell.
     """
     if m < 2 or p < 1:
         raise CaseNotApplicable(f"need m >= 2 and p >= 1, got (m, p) = ({m}, {p})")
@@ -378,7 +380,8 @@ def derive_case(m: int, p: int) -> CaseDerivation:
     rep = verify_numeric(ident, 80)
     if not rep.passed:
         raise AssertionError(f"derived identity fails: {ident.id}: {rep.first_failure}")
-    cf = solve_conv2(make_mstep(m), make_mstep(m + p))
+    if cf is None:
+        cf = solve_conv2(make_mstep(m), make_mstep(m + p))
     checked = equivalent(cf, closed, 0)
     if not checked:
         raise AssertionError(f"derivation disagrees with the solver for (m={m}, p={p})")
@@ -496,7 +499,7 @@ def table(max_sum: int = 9, oracle_n: int = 100, derive: bool = True) -> list:
             label = cell_label(m, p)
             case_equivalent = None
             if derive and label != "general-solver":
-                case_equivalent = derive_case(m, p).cross_checked
+                case_equivalent = derive_case(m, p, cf).cross_checked
             cells.append({
                 "m": m,
                 "p": p,

@@ -21,18 +21,25 @@ def conv2(a: SequenceHandle, b: SequenceHandle, n: int) -> int:
     return sum(av[j] * bv[n - j] for j in range(n + 1))
 
 
-def conv_multi(factors, n: int) -> int:
-    """Convolution of one or more sequences at index n, by iterated conv2."""
+def conv_multi_prefix(factors, n_max: int) -> list:
+    """Convolution of one or more sequences at n = 0 .. n_max, by iterated
+    direct summation (O(n_max^2) per factor); empty for n_max < 0."""
     factors = [_as_handle(f) for f in factors]
     if not factors:
         raise ValueError("need at least one factor")
-    if n < 0:
-        return 0
-    acc = list(factors[0].values(n + 1))
+    if n_max < 0:
+        return []
+    acc = list(factors[0].values(n_max + 1))
     for f in factors[1:]:
-        fv = f.values(n + 1)
-        acc = [sum(acc[j] * fv[i - j] for j in range(i + 1)) for i in range(n + 1)]
-    return acc[n]
+        fv = f.values(n_max + 1)
+        acc = [sum(acc[j] * fv[i - j] for j in range(i + 1)) for i in range(n_max + 1)]
+    return acc
+
+
+def conv_multi(factors, n: int) -> int:
+    """Convolution of one or more sequences at index n; zero for n < 0."""
+    values = conv_multi_prefix(factors, max(n, 0))
+    return values[n] if n >= 0 else 0
 
 
 def multi_index_sum_direct(factors, ell: int, b: int) -> int:

@@ -100,9 +100,12 @@ def combo_eventually_null(spec, combo: dict) -> bool:
 
 
 def verify_numeric(identity: Identity, n_max: int) -> VerifyReport:
-    """Exact check of lhs(n) == rhs(n) for n0 <= n <= n_max."""
+    """Exact check of lhs(n) == rhs(n) for n0 <= n <= n_max (a nonempty range)."""
     if identity.kind != "seq":
         raise ValueError(f"{identity.id} is not a sequence identity")
+    if n_max < identity.n0:
+        raise ValueError(
+            f"{identity.id}: n_max {n_max} is below n0 {identity.n0}, nothing to check")
     lhs = ex.evaluate_range(identity.lhs, n_max + 1)
     rhs = ex.evaluate_range(identity.rhs, n_max + 1)
     for n in range(identity.n0, n_max + 1):

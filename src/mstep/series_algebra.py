@@ -1,11 +1,16 @@
 """Exact polynomial and rational-function arithmetic over the rationals.
 
 This is the proof engine behind every generating-function identity in the
-package: dense polynomials with ``fractions.Fraction`` coefficients, a
-canonical rational-function type whose structural equality coincides with
+package: dense polynomials whose coefficients are ``int`` wherever the value
+is an integer and ``fractions.Fraction`` only where it is not, a canonical
+rational-function type whose structural equality coincides with
 mathematical equality, extended Euclid (Bezout certificates) for partial
 fractions, Taylor-coefficient extraction, and the x -> -x substitution used
 by the alternating-sum identities.
+
+Polynomial gcds are fraction-free: the primitive polynomial remainder
+sequence (Collins 1967; Brown & Traub 1971) takes integer pseudo-remainders
+and divides out their content after every step.
 
 Canonical form of a rational function N/D:
 
@@ -25,23 +30,46 @@ from fractions import Fraction
 from .sequences import RecurrenceSpec, handle
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _coeff(c):
+    """c as an int when its value is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient a/b as an int or a Fraction (``int / int`` is a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
+def _integral(cs) -> list:
+    """The coefficients times the lcm of their denominators, all ints."""
+    den = 1
+    for c in cs:
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    if den == 1:
+        return list(cs)
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs]
 
 
 class Poly:
     """Dense univariate polynomial; coeffs[k] is the coefficient of x^k.
 
     The coefficient list never has a trailing zero; the zero polynomial is
-    the empty tuple (degree -1).
+    the empty tuple (degree -1).  Integral coefficients are stored as int.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -66,10 +94,10 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient (0 for the zero poly)."""
@@ -105,7 +133,7 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -123,9 +151,9 @@ class Poly:
         rem = list(self.coeffs)
         dd, dv = len(rem) - 1, other.degree
         lead = other.coeffs[-1]
-        quo = [Fraction(0)] * max(dd - dv + 1, 0)
+        quo = [0] * max(dd - dv + 1, 0)
         for k in range(dd - dv, -1, -1):
-            c = rem[k + dv] / lead
+            c = _div(rem[k + dv], lead)
             if c:
                 quo[k] = c
                 for j, b in enumerate(other.coeffs):
@@ -147,8 +175,8 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -157,25 +185,17 @@ class Poly:
         """p(x) -> p(-x)."""
         return Poly(tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)))
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integral of integer content 1."""
-        if self.is_zero():
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def primitive(self) -> "Poly":
         """Integral coefficients, content 1, lowest nonzero coefficient > 0."""
         if self.is_zero():
             return self
-        p = self * (1 / self.content())
-        if p.coeffs[p.valuation()] < 0:
-            p = -p
-        return p
+        cs = _integral(self.coeffs)
+        g = math.gcd(*cs)
+        if cs[self.valuation()] < 0:
+            g = -g
+        if g == 1:
+            return Poly(cs)
+        return Poly([c // g for c in cs])
 
     # -- rendering ---------------------------------------------------------
     def __str__(self):
@@ -207,11 +227,36 @@ P_ONE = Poly((1,))
 P_X = Poly((0, 1))
 
 
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder of integral a by integral b, up to a nonzero integer
+    factor: each step scales by lead(b)/g rather than lead(b), where g is the
+    gcd of lead(b) and the coefficient being cancelled."""
+    r = list(a.coeffs)
+    bs = b.coeffs
+    db = len(bs) - 1
+    lead = bs[-1]
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lead)
+        cl, cc = lead // g, c // g
+        if cl != 1:
+            r = [cl * x for x in r]
+        k = top - db
+        for j in range(db):
+            r[k + j] -= cc * bs[j]
+    return Poly(r)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Euclidean gcd, normalized primitive with positive lowest coefficient."""
+    """Gcd by primitive PRS, normalized primitive with positive lowest coefficient."""
+    a, b = a.primitive(), b.primitive()
+    if a.degree < b.degree:
+        a, b = b, a
     while not b.is_zero():
-        a, b = b, a % b
-    return a.primitive()
+        a, b = b, _prem(a, b).primitive()
+    return a
 
 
 def bezout(a: Poly, b: Poly):
@@ -229,10 +274,8 @@ def bezout(a: Poly, b: Poly):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
     g = r0.primitive()
-    scale = 1 / (r0.content())
-    if r0.coeffs[r0.valuation()] < 0:
-        scale = -scale
-    u = u0 * scale
+    low = g.valuation()
+    u = u0 * _div(g.coeffs[low], r0.coeffs[low])
     # Reduce u modulo b/g so the degree bounds hold, then recover v exactly.
     bq = b // g
     if bq.degree > 0:
@@ -263,18 +306,21 @@ class RatFun:
         if num.is_zero():
             num, den = P_ZERO, P_ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or g.coeffs[0] != 1:
-                num, den = num // g, den // g
-            cn, cd = num.content(), den.content()
-            joint = Fraction(
-                math.gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
-                cn.denominator * cd.denominator,
-            )
-            num = num * (1 / joint)
-            den = den * (1 / joint)
+            # Clear denominators jointly, divide out the gcd, then the joint
+            # integer content; every step stays in integer arithmetic.
+            split = len(num.coeffs)
+            cs = _integral(num.coeffs + den.coeffs)
+            num, den = Poly(cs[:split]), Poly(cs[split:])
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
+            c = math.gcd(*num.coeffs, *den.coeffs)
             if den.coeffs[den.valuation()] < 0:
-                num, den = -num, -den
+                c = -c
+            if c != 1:
+                num = Poly([x // c for x in num.coeffs])
+                den = Poly([x // c for x in den.coeffs])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -288,7 +334,7 @@ class RatFun:
     def as_polynomial(self) -> Poly:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: {self}")
-        return self.num * (1 / self.den.coeffs[0])
+        return self.num * Fraction(1, self.den.coeffs[0])
 
     def __eq__(self, other):
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
@@ -395,7 +441,7 @@ def series_coeffs(f: RatFun, count: int) -> list:
             dk = den[k]
             if dk:
                 acc -= dk * out[n - k]
-        out.append(acc / d0)
+        out.append(_div(acc, d0))
     return out
 
 
@@ -405,16 +451,36 @@ def gf_of(spec: RecurrenceSpec) -> RatFun:
     Denominator 1 - sum(c_j x^j); the numerator is determined by the seeds
     so that the series coefficients reproduce the sequence exactly.
     """
-    den = [Fraction(1)] + [Fraction(-c) for c in spec.coeffs]
+    den = [1] + [-c for c in spec.coeffs]
     seeds = spec.seeds
     num = []
     for n, a in enumerate(seeds):
-        acc = Fraction(a)
+        acc = a
         for j, c in enumerate(spec.coeffs, start=1):
             if c and n - j >= 0:
                 acc -= c * seeds[n - j]
         num.append(acc)
     return RatFun(Poly(num), Poly(den))
+
+
+def combo_gf(spec: RecurrenceSpec, combo: dict) -> RatFun:
+    """Generating function of n -> sum_s combo[s] * a_{n+s}, one-sided.
+
+    One fraction over x^k * D(x) with k = max(0, max shift), where N/D is
+    the sequence's GF: shift s contributes combo[s] * x^(k-s) * N(x) when
+    s <= 0, and for s > 0 first subtracts the lost prefix a_0 .. a_{s-1}
+    times D(x) from N(x).
+    """
+    g = gf_of(spec)
+    k = max(0, max(combo, default=0))
+    h = handle(spec)
+    num = P_ZERO
+    for s, c in combo.items():
+        top = g.num
+        if s > 0:
+            top = top - Poly([h.term(j) for j in range(s)]) * g.den
+        num = num + top.shift(k - s) * c
+    return RatFun(num, g.den.shift(k))
 
 
 def shifted_gf(spec: RecurrenceSpec, shift: int) -> RatFun:
@@ -423,9 +489,4 @@ def shifted_gf(spec: RecurrenceSpec, shift: int) -> RatFun:
     Nonpositive shifts multiply by x^|shift|; positive shifts subtract the
     lost prefix a_0 .. a_{shift-1} before dividing by x^shift.
     """
-    g = gf_of(spec)
-    if shift <= 0:
-        return g * RatFun(Poly.monomial(-shift))
-    h = handle(spec)
-    prefix = Poly([h.term(j) for j in range(shift)])
-    return RatFun((g.num - prefix * g.den), g.den * Poly.monomial(shift))
+    return combo_gf(spec, {shift: 1})

@@ -28,6 +28,15 @@ def test_conv_values(capsys):
     assert code == 0 and out == "0 0 0 1 3 9\n"
 
 
+def test_conv_json_matches_pointwise_oracle(capsys):
+    from mstep.convolution_oracle import conv_multi
+
+    code, out = run(capsys, "conv", "--factors", "pell,T", "--n", "40", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["factors"] == ["pell", "T"]
+    assert doc["values"] == [str(conv_multi(["pell", "T"], n)) for n in range(41)]
+
+
 def test_unknown_sequence_is_usage_error(capsys):
     code, out = run(capsys, "seq", "--name", "nope", "--from", "0", "--to", "3")
     doc = json.loads(out)
@@ -49,6 +58,23 @@ def test_verify_single_identity(capsys):
 def test_verify_unknown_id(capsys):
     code, out = run(capsys, "verify", "--id", "nope")
     assert code == 2 and json.loads(out)["error"] == "KeyError"
+
+
+def test_verify_below_n0_is_an_error_not_a_pass(capsys):
+    code, out = run(capsys, "verify", "--all", "--max-n", "-5")
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError"
+    assert "below n0" in doc["detail"]
+    code, out = run(capsys, "verify", "--id", "conv_FQ", "--max-n", "-1")
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
+
+
+def test_verify_missing_manifest_is_a_json_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.json")
+    code, out = run(capsys, "verify", "--all", "--manifest", missing)
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "FileNotFoundError"
+    assert "nonexistent.json" in doc["detail"]
 
 
 def test_verify_json_report_schema(capsys):

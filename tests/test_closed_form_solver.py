@@ -5,6 +5,7 @@ import pytest
 from mstep import expressions as ex
 from mstep.closed_form_solver import (
     CaseNotApplicable,
+    ClosedForm,
     NonCoprime,
     RepeatedFactor,
     cell_label,
@@ -15,8 +16,8 @@ from mstep.closed_form_solver import (
     table,
 )
 from mstep.convolution_oracle import conv_multi
-from mstep.sequences import make_mstep, resolve
-from mstep.series_algebra import gf_of, poly_gcd
+from mstep.sequences import handle, make_mstep, resolve
+from mstep.series_algebra import combo_gf, gf_of, poly_gcd, series_coeffs
 
 
 def reference_fq():
@@ -185,6 +186,42 @@ def test_reconstruction_equals_product_gf():
         for nm in names[1:]:
             product = product * gf_of(resolve(nm))
         assert cf.gf() == product
+
+
+def test_reconstruction_rejects_a_perturbed_closed_form():
+    cf = solve_conv_multi(["F", "T", "Q"])
+    product = gf_of(resolve("F")) * gf_of(resolve("T")) * gf_of(resolve("Q"))
+    assert cf.gf() == product
+    (name, combo), rest = cf.parts[0], cf.parts[1:]
+    top = max(combo)
+    wrong_coeff = ClosedForm(cf.factors, ((name, {**combo, top: combo[top] + 1}),) + rest, {})
+    assert wrong_coeff.gf() != product
+    wrong_corr = ClosedForm(cf.factors, cf.parts, {2: Fraction(1)})
+    assert wrong_corr.gf() != product
+
+
+def test_combo_gf_is_the_one_sided_shift_combination():
+    import random
+
+    rng = random.Random(11)
+    for name in ("F", "T", "pell", "pow2", "F1"):
+        spec = resolve(name)
+        h = handle(name)
+        for _ in range(5):
+            combo = {rng.randint(-4, 5): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 4))}
+            want = [sum(c * h.term(n + s) for s, c in combo.items()) for n in range(40)]
+            assert series_coeffs(combo_gf(spec, combo), 40) == want
+
+
+def test_table_solves_each_cell_once(monkeypatch):
+    import mstep.closed_form_solver as cfs
+
+    calls = []
+    real = cfs.solve_conv_multi
+    monkeypatch.setattr(cfs, "solve_conv_multi", lambda specs: calls.append(1) or real(specs))
+    cells = table(7, oracle_n=20)
+    assert len(calls) == len(cells) == 15
 
 
 def test_random_coprime_multisets_match_oracle():

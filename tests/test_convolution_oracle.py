@@ -6,6 +6,7 @@ from mstep.convolution_oracle import (
     REGISTERED_TUPLES,
     conv2,
     conv_multi,
+    conv_multi_prefix,
     multi_index_sum_direct,
 )
 from mstep.sequences import handle
@@ -49,6 +50,22 @@ def test_conv_multi_agrees_with_direct_enumeration():
         ell = len(factors)
         for n in range(26):
             assert conv_multi(factors, n) == multi_index_sum_direct(factors, ell, n)
+
+
+def test_conv_multi_prefix_agrees_with_direct_enumeration():
+    for factors in REGISTERED_TUPLES:
+        values = conv_multi_prefix(factors, 30)
+        assert len(values) == 31
+        assert values == [multi_index_sum_direct(factors, len(factors), n) for n in range(31)]
+
+
+def test_conv_multi_prefix_edges():
+    assert conv_multi_prefix(["F"], -1) == []
+    assert conv_multi(["F", "T"], -2) == 0
+    with pytest.raises(ValueError):
+        conv_multi_prefix([], 5)
+    with pytest.raises(ValueError):
+        conv_multi([], -1)
 
 
 def test_conv2_matches_series_of_gf_product():

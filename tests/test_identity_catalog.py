@@ -45,6 +45,13 @@ def test_tf_convolution_passes_to_200(by_id):
     assert rep.passed and rep.mode == "numeric"
 
 
+def test_verify_numeric_rejects_an_empty_range(by_id):
+    ident = next(i for i in by_id.values() if i.kind == "seq" and i.n0 >= 2 and not i.negative)
+    assert verify_numeric(ident, ident.n0).passed
+    with pytest.raises(ValueError, match="below n0"):
+        verify_numeric(ident, ident.n0 - 1)
+
+
 def test_corrected_partial_sums_pass(by_id):
     for m in range(2, 9):
         assert verify_numeric(by_id[f"partial_sum_m{m}"], 200).passed
