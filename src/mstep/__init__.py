@@ -32,8 +32,8 @@ from .identity_catalog import (
     verify_symbolic,
 )
 from .pattern_search import PatternSolution, search
-from .sequences import RecurrenceSpec, SequenceHandle, handle, make_mstep, registry, resolve, term
-from .series_algebra import Poly, RatFun, bezout, equals, gf_of, poly_gcd, series_coeffs, shifted_gf
+from .sequences import RecurrenceSpec, SequenceHandle, handle, make_mstep, registry, resolve
+from .series_algebra import Poly, RatFun, bezout, gf_of, poly_gcd, series_coeffs, shifted_gf
 
 __all__ = [
     "RecurrenceSpec",
@@ -42,11 +42,9 @@ __all__ = [
     "make_mstep",
     "registry",
     "resolve",
-    "term",
     "Poly",
     "RatFun",
     "bezout",
-    "equals",
     "gf_of",
     "poly_gcd",
     "series_coeffs",

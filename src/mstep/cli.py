@@ -19,7 +19,7 @@ from . import identity_catalog as catalog
 from . import pattern_search
 from .convolution_oracle import conv_multi_prefix
 from .sequences import handle, resolve
-from .series_algebra import NotAPowerSeries
+from .series_algebra import NotAPowerSeries, agrees_from
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,20 +226,13 @@ def _cmd_gfcheck(args) -> int:
     if args.id not in index:
         raise KeyError(f"unknown identity id: {args.id}")
     ident = index[args.id]
-    if ident.kind == "gf":
-        left, right = catalog.compile_gf(ident.lhs), catalog.compile_gf(ident.rhs)
-        same = left == right
-    else:
-        left, right = ex.gf_of_expr(ident.lhs), ex.gf_of_expr(ident.rhs)
-        if isinstance(left, ex.NotCompilable) or isinstance(right, ex.NotCompilable):
-            print(f"lhs: {left}")
-            print(f"rhs: {right}")
-            print("verdict: not-compilable")
-            return 1
-        diff = left - right
-        same = diff.is_zero() or (diff.is_polynomial() and diff.num.degree < ident.n0)
+    left, right = catalog.identity_gfs(ident)
     print(f"lhs: {left}")
     print(f"rhs: {right}")
+    if isinstance(left, ex.NotCompilable) or isinstance(right, ex.NotCompilable):
+        print("verdict: not-compilable")
+        return 1
+    same = agrees_from(left, right, ident.n0)
     print(f"verdict: {'equal' if same else 'different'}")
     return 0 if same else 1
 

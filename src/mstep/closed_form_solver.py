@@ -19,8 +19,11 @@ explicit other-terms; the result is cross-checked against the general
 solver through ``equivalent``.
 
 Closed forms are unique only modulo each sequence's recurrence kernel, so
-equality against a reference expression is always decided by
-``equivalent`` (kernel check plus a finite window), never syntactically.
+equality against a reference expression is never syntactic.  ``equivalent``
+decides it by generating functions: the closed form's rebuilt GF and the
+reference's compiled GF must differ by a polynomial of degree < n0, the
+same ``agrees_from`` rule that proves catalog identities.  No numeric
+window is inspected.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from fractions import Fraction
 
 from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
-from .identity_catalog import Identity, combo_eventually_null, verify_numeric
+from .identity_catalog import Identity, verify_numeric
 from .sequences import RecurrenceSpec, handle, make_mstep, mstep_name, resolve
-from .series_algebra import Poly, RatFun, bezout, combo_gf, gf_of, poly_gcd
+from .series_algebra import Poly, RatFun, agrees_from, bezout, combo_gf, gf_of, poly_gcd
 
 
 class SolverError(Exception):
@@ -116,6 +119,8 @@ class ClosedForm:
 
     def check_oracle(self, n_max: int = 100) -> bool:
         """Compare against the brute-force convolution for 0 <= n <= n_max."""
+        if n_max < 0:
+            raise ValueError(f"oracle range 0..{n_max} is empty, nothing to check")
         values = conv_multi_prefix(self.factors, n_max)
         ok = all(self.evaluate(n) == v for n, v in enumerate(values))
         if ok:
@@ -311,33 +316,15 @@ def _add_poly_corrections(corrections: dict, poly: Poly) -> None:
 def equivalent(cf: ClosedForm, expr, n0: int = 0) -> bool:
     """True iff cf(n) == expr(n) for all n >= n0.
 
-    ``expr`` must be an n-free combination of shifted terms.  Decided per
-    sequence: the coefficient difference must lie in that sequence's
-    recurrence kernel (vanish identically beyond its seed transient), and
-    the finite window where transients or corrections live is compared
-    directly.
+    Decided by generating functions, not by sampling: the rebuilt GF of the
+    closed form and the compiled GF of ``expr`` must differ by a polynomial
+    of degree < n0 (``agrees_from``).  Raises ValueError when ``expr`` is
+    outside the rational fragment ``gf_of_expr`` compiles.
     """
-    expr_parts, expr_const = ex.linear_parts(expr)
-    if expr_const != 0:
-        raise ValueError("reference expression must be a pure shift combination")
-    names = {name for name, _ in cf.parts} | set(expr_parts)
-    cf_map = {name: combo for name, combo in cf.parts}
-    window = n0
-    if cf.corrections:
-        window = max(window, max(cf.corrections) + 1)
-    for name in sorted(names):
-        spec = resolve(name)
-        combo: dict = dict(cf_map.get(name, {}))
-        for s, c in expr_parts.get(name, {}).items():
-            combo[s] = combo.get(s, Fraction(0)) - c
-        combo = {s: c for s, c in combo.items() if c != 0}
-        if not combo:
-            continue
-        if not combo_eventually_null(spec, combo):
-            return False
-        transient = gf_of(spec).num.degree - min(combo) + 1 + spec.order
-        window = max(window, transient)
-    return all(cf.evaluate(n) == ex.evaluate(expr, n) for n in range(n0, window + 1))
+    g = ex.gf_of_expr(expr)
+    if isinstance(g, ex.NotCompilable):
+        raise ValueError(f"reference expression does not compile: {g.reason}")
+    return agrees_from(cf.gf(), g, n0)
 
 
 # -- the three-case stacking derivation ----------------------------------------------

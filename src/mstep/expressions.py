@@ -35,6 +35,7 @@ from .series_algebra import (
     P_ONE,
     Poly,
     RatFun,
+    drop_prefix,
     series_coeffs,
     shifted_gf,
 )
@@ -415,43 +416,7 @@ def _compile_conv(expr: ConvAtom):
         return s
     if c < 0:
         return s * RatFun(Poly.monomial(-c))
-    prefix = Poly(series_coeffs(s, c))
-    return RatFun(s.num - prefix * s.den, s.den * Poly.monomial(c))
-
-
-# -- linear views ------------------------------------------------------------------
-
-
-def linear_parts(expr: SeqExpr):
-    """Decompose a shifts-plus-constant expression.
-
-    Returns ``(parts, const)`` where parts maps sequence name -> shift ->
-    coefficient.  Raises ValueError on any node outside that fragment
-    (products, convolutions, n-polynomials, ...).
-    """
-    parts: dict = {}
-    total = [Fraction(0)]
-
-    def walk(e: SeqExpr, factor: Fraction):
-        if isinstance(e, Term):
-            by_shift = parts.setdefault(resolve(e.seq).name, {})
-            by_shift[e.shift] = by_shift.get(e.shift, Fraction(0)) + factor
-        elif isinstance(e, Const):
-            total[0] += factor * e.value
-        elif isinstance(e, Scale):
-            walk(e.child, factor * e.factor)
-        elif isinstance(e, Sum):
-            for t in e.terms:
-                walk(t, factor)
-        else:
-            raise ValueError(f"not a linear combination of shifted terms: {e!r}")
-
-    walk(expr, Fraction(1))
-    parts = {
-        name: {s: c for s, c in by_shift.items() if c != 0}
-        for name, by_shift in parts.items()
-    }
-    return {n: bs for n, bs in parts.items() if bs}, total[0]
+    return RatFun(drop_prefix(s, series_coeffs(s, c)), s.den.shift(c))
 
 
 # -- JSON serialization ---------------------------------------------------------------

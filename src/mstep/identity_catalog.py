@@ -25,8 +25,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import expressions as ex
-from .sequences import handle, resolve
-from .series_algebra import Poly, RatFun, gf_of
+from .sequences import resolve
+from .series_algebra import Poly, RatFun, agrees_from, combo_gf, gf_of
 
 
 @dataclass(frozen=True)
@@ -61,39 +61,15 @@ class VerifyReport:
 def kernel_check(spec, combo: dict, corrections: dict | None = None, n0: int = 0) -> bool:
     """Decide whether sum_k combo[k] * seq_{n+k} + corrections(n) == 0 for all n >= n0.
 
-    A finite combination of shifts of an order-m recurrence obeys the same
-    recurrence once every involved index is past the seed window, so the sum
-    vanishes identically beyond a point iff it vanishes at m consecutive
-    indices there.  The window below that point is checked directly.
+    Decided by generating functions, with no numeric window: the GF of the
+    shift combination (``combo_gf``) plus the corrections polynomial must be
+    zero or a polynomial of degree < n0 (``agrees_from``).
     """
     spec = resolve(spec) if isinstance(spec, str) else spec
     corrections = corrections or {}
-    combo = {s: Fraction(c) for s, c in combo.items() if c != 0}
-    if not combo:
-        return all(c == 0 for n, c in corrections.items() if n >= n0)
-    h = handle(spec)
-    min_shift = min(combo)
-    transient = gf_of(spec).num.degree - min_shift + 1
-    start = max(n0, transient)
-    if corrections:
-        start = max(start, max(corrections) + 1)
-    for n in range(n0, start + spec.order):
-        acc = Fraction(corrections.get(n, 0))
-        for s, c in combo.items():
-            acc += c * h.term(n + s)
-        if acc != 0:
-            return False
-    return True
-
-
-def combo_eventually_null(spec, combo: dict) -> bool:
-    """True iff the shift combination vanishes from some index on."""
-    spec = resolve(spec) if isinstance(spec, str) else spec
-    combo = {s: Fraction(c) for s, c in combo.items() if c != 0}
-    if not combo:
-        return True
-    transient = gf_of(spec).num.degree - min(combo) + 1
-    return kernel_check(spec, combo, None, max(transient, 0))
+    top = max(corrections, default=-1)
+    fixed = RatFun(Poly([corrections.get(n, 0) for n in range(top + 1)]))
+    return agrees_from(combo_gf(spec, combo) + fixed, 0, n0)
 
 
 # -- verification --------------------------------------------------------------
@@ -115,28 +91,24 @@ def verify_numeric(identity: Identity, n_max: int) -> VerifyReport:
     return VerifyReport(identity.id, "numeric", True)
 
 
+def identity_gfs(identity: Identity) -> tuple:
+    """Both sides as canonical RatFuns; a side outside the rational fragment
+    comes back as an ``expressions.NotCompilable`` value."""
+    if identity.kind == "gf":
+        return compile_gf(identity.lhs), compile_gf(identity.rhs)
+    return ex.gf_of_expr(identity.lhs), ex.gf_of_expr(identity.rhs)
+
+
 def verify_symbolic(identity: Identity) -> VerifyReport | None:
     """Generating-function proof; None when a side does not compile.
 
-    For a sequence identity valid from n0 on, the two sides must agree as
-    rational functions up to a polynomial of degree < n0.
+    The two sides must agree as power series from n0 on, i.e. differ by a
+    polynomial of degree < n0 (every GF entry has n0 = 0: exact equality).
     """
-    if identity.kind == "gf":
-        left = compile_gf(identity.lhs)
-        right = compile_gf(identity.rhs)
-        if left == right:
-            return VerifyReport(identity.id, "symbolic", True)
-        return VerifyReport(
-            identity.id, "symbolic", False,
-            {"lhs": str(left), "rhs": str(right)},
-        )
-    left = ex.gf_of_expr(identity.lhs)
-    right = ex.gf_of_expr(identity.rhs)
+    left, right = identity_gfs(identity)
     if isinstance(left, ex.NotCompilable) or isinstance(right, ex.NotCompilable):
         return None
-    diff = left - right
-    ok = diff.is_zero() or (diff.is_polynomial() and diff.num.degree < identity.n0)
-    if ok:
+    if agrees_from(left, right, identity.n0):
         return VerifyReport(identity.id, "symbolic", True)
     return VerifyReport(
         identity.id, "symbolic", False, {"lhs": str(left), "rhs": str(right)}
@@ -232,10 +204,33 @@ def identity_to_json(ident: Identity) -> dict:
     return entry
 
 
+# gf tree tag -> (fewest, most) operands; None means no upper limit.
+_GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None),
+             "sub": (2, 2), "div": (2, 2), "neg": (1, 1), "subneg": (1, 1)}
+
+
+def _check_gf_tree(tree) -> None:
+    """Raise ValueError unless every node has the operand count its tag needs."""
+    if not isinstance(tree, list) or not tree or tree[0] not in _GF_ARITY:
+        raise ValueError(f"not a gf tree: {tree!r}")
+    low, high = _GF_ARITY[tree[0]]
+    if not low <= len(tree) - 1 <= (high or len(tree)):
+        raise ValueError(f"gf node {tree[0]!r} with {len(tree) - 1} operands")
+    if tree[0] not in ("seqgf", "poly"):
+        for sub in tree[1:]:
+            _check_gf_tree(sub)
+
+
 def identity_from_json(entry: dict) -> Identity:
     kind = entry["kind"]
-    lhs = entry["lhs"] if kind == "gf" else ex.expr_from_json(entry["lhs"])
-    rhs = entry["rhs"] if kind == "gf" else ex.expr_from_json(entry["rhs"])
+    if kind == "gf":
+        lhs, rhs = entry["lhs"], entry["rhs"]
+        _check_gf_tree(lhs)
+        _check_gf_tree(rhs)
+    elif kind == "seq":
+        lhs, rhs = ex.expr_from_json(entry["lhs"]), ex.expr_from_json(entry["rhs"])
+    else:
+        raise ValueError(f"unknown identity kind {kind!r}")
     return Identity(
         id=entry["id"],
         kind=kind,
@@ -249,14 +244,27 @@ def identity_from_json(entry: dict) -> Identity:
 
 
 def load_manifest(path=None) -> list:
-    """Load the identity catalog (packaged data file by default)."""
+    """Load the identity catalog (packaged data file by default).
+
+    The whole file is validated before anything is verified: a malformed
+    document or entry raises ValueError naming the entry.
+    """
     if path is None:
         text = resources.files("mstep").joinpath("data/manifest.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    idents = [identity_from_json(entry) for entry in doc["identities"]]
+    entries = doc.get("identities") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("manifest must be a JSON object with an 'identities' list")
+    idents = []
+    for k, entry in enumerate(entries):
+        try:
+            idents.append(identity_from_json(entry))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            name = entry.get("id") if isinstance(entry, dict) else None
+            raise ValueError(f"manifest entry {k} ({name}) is malformed: {exc!r}") from exc
     ids = [i.id for i in idents]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate identity ids in manifest")

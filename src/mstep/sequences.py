@@ -165,8 +165,3 @@ def handle(name_or_spec) -> SequenceHandle:
     if h is None:
         h = _HANDLES[spec] = SequenceHandle(spec)
     return h
-
-
-def term(h: SequenceHandle, n: int) -> int:
-    """Functional form of SequenceHandle.term."""
-    return h.term(n)

@@ -416,9 +416,18 @@ RF_ONE = RatFun(P_ONE)
 RF_X = RatFun(P_X)
 
 
-def equals(f: RatFun, g: RatFun) -> bool:
-    """Decidable equality of canonical forms."""
-    return f == g
+def agrees_from(f: RatFun, g, n0: int) -> bool:
+    """True iff the power series f and g agree at every x^n with n >= n0.
+
+    That holds exactly when f - g is zero or a polynomial of degree < n0.
+    This is the package's one rule for "these two sides agree from n0 on":
+    catalog proofs, kernel checks and closed-form equivalence all end here.
+    """
+    g = _as_ratfun(g)
+    if f == g:  # canonical forms: no subtraction needed
+        return True
+    diff = f - g
+    return diff.is_polynomial() and diff.num.degree < n0
 
 
 def series_coeffs(f: RatFun, count: int) -> list:
@@ -463,6 +472,15 @@ def gf_of(spec: RecurrenceSpec) -> RatFun:
     return RatFun(Poly(num), Poly(den))
 
 
+def drop_prefix(f: RatFun, prefix) -> Poly:
+    """Numerator, over x^s * f.den, of the one-sided shift n -> f_{n+s}.
+
+    ``prefix`` holds the lost coefficients f_0 .. f_{s-1}; the shift
+    subtracts them times f.den from f.num.  For s <= 0 it is empty.
+    """
+    return f.num - Poly(prefix) * f.den if prefix else f.num
+
+
 def combo_gf(spec: RecurrenceSpec, combo: dict) -> RatFun:
     """Generating function of n -> sum_s combo[s] * a_{n+s}, one-sided.
 
@@ -476,10 +494,7 @@ def combo_gf(spec: RecurrenceSpec, combo: dict) -> RatFun:
     h = handle(spec)
     num = P_ZERO
     for s, c in combo.items():
-        top = g.num
-        if s > 0:
-            top = top - Poly([h.term(j) for j in range(s)]) * g.den
-        num = num + top.shift(k - s) * c
+        num = num + drop_prefix(g, [h.term(j) for j in range(s)]).shift(k - s) * c
     return RatFun(num, g.den.shift(k))
 
 

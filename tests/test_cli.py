@@ -161,3 +161,43 @@ def test_manifest_override(tmp_path, capsys):
                                 "identities": [identity_to_json(ident)]}))
     code, out = run(capsys, "verify", "--all", "--manifest", str(path))
     assert code == 0 and "PASS tiny" in out
+
+
+def test_negative_oracle_n_is_an_error_not_a_pass(capsys):
+    code, out = run(capsys, "table", "--max", "4", "--oracle-n", "-1")
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "empty" in doc["detail"]
+    code, out = run(capsys, "solve", "--factors", "F,T", "--oracle-n", "-3")
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "empty" in doc["detail"]
+
+
+def test_negative_l_window_is_a_json_error(capsys):
+    code, out = run(capsys, "search", "--m", "2", "--l-window", "-4")
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
+
+
+def _verify_manifest(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", "--all", "--manifest", str(path))
+    return code, json.loads(out)
+
+
+def test_manifest_seq_term_without_shift_is_a_json_error(tmp_path, capsys):
+    entry = {"id": "bad_term", "kind": "seq", "lhs": ["term", "F"],
+             "rhs": ["term", "F", 0], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "bad_term" in doc["detail"]
+
+
+def test_manifest_gf_node_without_operand_is_a_json_error(tmp_path, capsys):
+    entry = {"id": "bad_gf", "kind": "gf", "lhs": ["seqgf"],
+             "rhs": ["seqgf", "F"], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "bad_gf" in doc["detail"]
+
+
+def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):
+    code, doc = _verify_manifest(tmp_path, capsys, [1, 2])
+    assert code == 2 and doc["error"] == "ValueError" and "identities" in doc["detail"]

@@ -107,13 +107,18 @@ def test_equivalent_rejects_perturbation():
     assert not equivalent(cf, wrong, 0)
 
 
+def test_equivalent_rejects_a_noncompilable_reference():
+    cf = solve_conv2(resolve("F"), resolve("Q"))
+    with pytest.raises(ValueError, match="does not compile"):
+        equivalent(cf, ex.mul(ex.term("F"), ex.term("Q")), 0)
+
+
 def test_derive_case_hexanacci_tetranacci():
     d = derive_case(4, 2)
     assert d.case == "p|m" and d.ell == 2 and d.cross_checked
     # aligned form carries the explicit leftover terms 2 s_{n-6} + s_{n-5}
-    parts, c = ex.linear_parts(ex.add(*[
-        t for t in d.identity.rhs.terms if not isinstance(t, ex.ConvAtom)]))
-    assert parts == {"hexanacci": {-6: Fraction(2), -5: Fraction(1)}} and c == 0
+    others = [t for t in d.identity.rhs.terms if not isinstance(t, ex.ConvAtom)]
+    assert others == [ex.term("hexanacci", -5), ex.scale(2, ex.term("hexanacci", -6))]
     assert ex.evaluate(d.identity.lhs, 8) == 8
     conv_part = [t for t in d.identity.rhs.terms if isinstance(t, ex.ConvAtom)][0]
     assert ex.evaluate(conv_part, 8) == 4

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from mstep import expressions as ex
 from mstep.sequences import handle
 from mstep.series_algebra import RatFun, gf_of, series_coeffs
@@ -89,13 +87,3 @@ def test_json_roundtrip():
     ]
     for e in exprs:
         assert ex.expr_from_json(ex.expr_to_json(e)) == e
-
-
-def test_linear_parts_decomposition():
-    parts, c = ex.linear_parts(ex.add(
-        ex.scale(2, ex.term("F", 1)), ex.scale(-1, ex.term("F", 1)),
-        ex.term("Q", -2), ex.const(Fraction(1, 3))))
-    assert parts == {"F": {1: Fraction(1)}, "Q": {-2: Fraction(1)}}
-    assert c == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        ex.linear_parts(ex.mul(ex.term("F"), ex.term("T")))

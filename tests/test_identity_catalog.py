@@ -6,7 +6,6 @@ import pytest
 from mstep import expressions as ex
 from mstep.identity_catalog import (
     catalog_index,
-    combo_eventually_null,
     kernel_check,
     load_manifest,
     negative_as_documented,
@@ -112,11 +111,6 @@ def test_kernel_check_agrees_with_direct_evaluation():
             for n in range(n0, n0 + 51)
         )
         assert kernel_check(spec, combo, None, n0) == direct
-
-
-def test_combo_eventually_null():
-    assert combo_eventually_null("Q", {4: 1, 0: -1, 1: -1, 2: -1, 3: -1})
-    assert not combo_eventually_null("Q", {0: 1})
 
 
 def test_symbolic_and_numeric_cohere(by_id):

@@ -44,10 +44,11 @@ def test_solutions_are_canonical_and_unique():
             assert tuple(k + t for k in a.K) != b.K or a.K == b.K
 
 
-def test_bruteforce_reenumeration_matches():
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_bruteforce_reenumeration_matches(m):
     # Independent small-bounds search: estimate N numerically at one index
     # and accept after a straight 0..60 scan.
-    m, p_max, card, span = 3, 6, 2, 3
+    p_max, card, span = 6, 2, 3
     h = handle(make_mstep(m))
     found = set()
     k_sets = [(0,)] + [(0, extra) for extra in range(1, span + 1)]
@@ -82,3 +83,5 @@ def test_json_line_shape():
 def test_rejects_bad_bounds():
     with pytest.raises(ValueError):
         search(1, 3, 1, 1)
+    with pytest.raises(ValueError):
+        search(2, 3, 1, 1, l_window=-4)

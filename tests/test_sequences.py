@@ -1,6 +1,6 @@
 import pytest
 
-from mstep.sequences import handle, make_mstep, registry, resolve, term
+from mstep.sequences import handle, make_mstep, registry, resolve
 
 
 def test_mstep3_prefix():
@@ -31,9 +31,9 @@ def test_registry_contents():
 
 
 def test_term_examples():
-    assert term(handle("F"), 10) == 55
-    assert term(handle("Q"), -1) == 0
-    assert term(handle("octanacci"), 10) == 255
+    assert handle("F").term(10) == 55
+    assert handle("Q").term(-1) == 0
+    assert handle("octanacci").term(10) == 255
 
 
 def test_negative_indices_are_zero():

@@ -8,8 +8,8 @@ from mstep.series_algebra import (
     P_ONE,
     Poly,
     RatFun,
+    agrees_from,
     bezout,
-    equals,
     gf_of,
     poly_gcd,
     series_coeffs,
@@ -83,7 +83,7 @@ def test_bezout_examples():
 def test_ratfun_canonical_equality():
     f = RatFun(P(0, 1), P(1, -1, -1))
     assert f == RatFun(P(0, 2), P(2, -2, -2))
-    assert equals(f, f)
+    assert f == f
 
 
 def test_substitute_neg_sign_rule():
@@ -152,6 +152,14 @@ def test_derivative_shifts_series():
         ds = series_coeffs(f.derivative(), 32)
         s = series_coeffs(f, 33)
         assert all(ds[k] == (k + 1) * s[k + 1] for k in range(32))
+
+
+def test_agrees_from_allows_only_a_polynomial_below_n0():
+    f = gf_of(registry()["F"])
+    bump = RatFun(P(0, 0, 7))  # changes the x^2 coefficient only
+    assert agrees_from(f, f, 0)
+    assert agrees_from(f + bump, f, 3) and not agrees_from(f + bump, f, 2)
+    assert not agrees_from(f, gf_of(registry()["T"]), 50)
 
 
 def test_shifted_gf_both_directions():
