@@ -146,13 +146,10 @@ def _cmd_verify(args) -> int:
     reports = []
     all_ok = True
     for ident in sorted(idents, key=lambda i: i.id):
+        ok, rep = catalog.verdict(ident, args.max_n, symbolic=args.symbolic)
+        note = ""
         if ident.negative:
-            ok, rep = catalog.negative_as_documented(ident, args.max_n)
             note = "documented misprint, fails as recorded" if ok else "UNEXPECTED behaviour"
-        else:
-            rep = catalog.verify(ident, args.max_n, symbolic=args.symbolic)
-            ok = rep.passed
-            note = ""
         all_ok = all_ok and ok
         reports.append((ident, ok, note, rep))
     if args.format == "json":

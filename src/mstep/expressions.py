@@ -16,25 +16,32 @@ Node kinds
                           own index; for a single kernel this is the bounded
                           partial sum sum_{j=0}^{n+c} kernel(j).
 
-Evaluation is exact (ints and Fractions).  ``evaluate_range`` computes a
-whole prefix of values at once and turns ConvAtoms into cached convolution
-tables, which is what makes full-catalog verification fast.
+Evaluation is exact.  ``evaluate_range`` is the one evaluator: it
+tabulates a whole prefix of values column by column and turns ConvAtoms
+into cached convolution tables; ``evaluate(expr, n)`` is a view of it.
+Every number (node scalars and column values alike) is an int when it is
+integral and a Fraction only when it is not, the rule of
+``series_algebra``.  Brute-force simplex enumeration lives only in
+:mod:`mstep.convolution_oracle`.
 
 ``gf_of_expr`` compiles a tree to a canonical RatFun where possible;
 expressions outside the rational fragment (e.g. the pointwise product of
-two recurrence sequences) yield the :data:`NOT_COMPILABLE` value instead.
+two recurrence sequences) yield a :class:`NotCompilable` value instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .sequences import handle, resolve
 from .series_algebra import (
     P_ONE,
     Poly,
     RatFun,
+    _coeff,
     drop_prefix,
     series_coeffs,
     shifted_gf,
@@ -70,7 +77,7 @@ class Geo2(SeqExpr):
 
 @dataclass(frozen=True)
 class Const(SeqExpr):
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class Product(SeqExpr):
 
 @dataclass(frozen=True)
 class Scale(SeqExpr):
-    factor: Fraction
+    factor: int | Fraction
     child: SeqExpr
 
 
@@ -102,7 +109,7 @@ def term(seq: str, shift: int = 0) -> Term:
 
 
 def npoly(*coeffs) -> NPoly:
-    return NPoly(tuple(Fraction(c) for c in coeffs))
+    return NPoly(tuple(_coeff(c) for c in coeffs))
 
 
 def alt(offset: int = 0) -> Alt:
@@ -114,7 +121,7 @@ def geo2(offset: int = 0) -> Geo2:
 
 
 def const(value) -> Const:
-    return Const(Fraction(value))
+    return Const(_coeff(value))
 
 
 def add(*terms) -> SeqExpr:
@@ -146,65 +153,30 @@ def mul(*factors) -> SeqExpr:
 
 
 def scale(factor, child: SeqExpr) -> SeqExpr:
-    factor = Fraction(factor)
+    factor = _coeff(factor)
     if factor == 1:
         return child
     if isinstance(child, Scale):
-        return Scale(factor * child.factor, child.child)
+        return Scale(_coeff(factor * child.factor), child.child)
     return Scale(factor, child)
 
 
 def conv(*kernels, offset: int = 0) -> ConvAtom:
+    if not kernels:
+        raise ValueError("a convolution needs at least one kernel")
     return ConvAtom(tuple(kernels), offset)
 
 
 # -- evaluation ----------------------------------------------------------------
 
 def evaluate(expr: SeqExpr, n: int):
-    """Exact value at index n (int or Fraction).  ConvAtoms by brute force."""
-    if isinstance(expr, Term):
-        return handle(expr.seq).term(n + expr.shift)
-    if isinstance(expr, NPoly):
-        acc = Fraction(0)
-        for c in reversed(expr.coeffs):
-            acc = acc * n + c
-        return acc
-    if isinstance(expr, Alt):
-        return 1 if (n + expr.offset) % 2 == 0 else -1
-    if isinstance(expr, Geo2):
-        e = n + expr.offset
-        return 2 ** e if e >= 0 else Fraction(1, 2 ** -e)
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Sum):
-        return sum(evaluate(t, n) for t in expr.terms)
-    if isinstance(expr, Product):
-        acc = 1
-        for f in expr.factors:
-            acc *= evaluate(f, n)
-        return acc
-    if isinstance(expr, Scale):
-        return expr.factor * evaluate(expr.child, n)
-    if isinstance(expr, ConvAtom):
-        upper = n + expr.offset
-        if upper < 0:
-            return 0
-        kernels = expr.kernels
-        if len(kernels) == 1:
-            return sum(evaluate(kernels[0], j) for j in range(upper + 1))
+    """Exact value at index n >= 0: an int when integral, else a Fraction.
 
-        def rec(i: int, remaining: int):
-            if i == len(kernels) - 1:
-                return evaluate(kernels[i], remaining)
-            total = 0
-            for k in range(remaining + 1):
-                v = evaluate(kernels[i], k)
-                if v:
-                    total += v * rec(i + 1, remaining - k)
-            return total
-
-        return rec(0, upper)
-    raise TypeError(f"not a SeqExpr: {expr!r}")
+    A view of :func:`evaluate_range`, the one evaluator of expression trees.
+    """
+    if n < 0:
+        raise ValueError(f"index {n} is negative")
+    return evaluate_range(expr, n + 1)[n]
 
 
 _RANGE_CACHE: dict = {}
@@ -233,21 +205,24 @@ def _compute_range(expr: SeqExpr, length: int) -> list:
             return h.values(length + s)[s:]
         vals = h.values(max(length + s, 0))
         return [0] * min(-s, length) + vals
-    if isinstance(expr, (NPoly, Alt, Geo2, Const)):
-        return [evaluate(expr, n) for n in range(length)]
+    if isinstance(expr, NPoly):
+        cs = tuple(enumerate(expr.coeffs))
+        return [_coeff(sum(c * n ** k for k, c in cs)) for n in range(length)]
+    if isinstance(expr, Alt):
+        return [1 if (n + expr.offset) % 2 == 0 else -1 for n in range(length)]
+    if isinstance(expr, Geo2):
+        return [_coeff(Fraction(2) ** (n + expr.offset)) for n in range(length)]
+    if isinstance(expr, Const):
+        return [expr.value] * length
     if isinstance(expr, Sum):
         cols = [evaluate_range(t, length) for t in expr.terms]
-        return [sum(col[n] for col in cols) for n in range(length)]
+        return [_coeff(sum(vs)) for vs in zip(*cols)]
     if isinstance(expr, Product):
         cols = [evaluate_range(f, length) for f in expr.factors]
-        out = list(cols[0])
-        for col in cols[1:]:
-            for n in range(length):
-                out[n] *= col[n]
-        return out
+        return [_coeff(math.prod(vs)) for vs in zip(*cols)]
     if isinstance(expr, Scale):
         f = expr.factor
-        return [f * v for v in evaluate_range(expr.child, length)]
+        return [_coeff(f * v) for v in evaluate_range(expr.child, length)]
     if isinstance(expr, ConvAtom):
         c = expr.offset
         top = length - 1 + c
@@ -269,18 +244,13 @@ def _conv_table(kernels: tuple, length: int) -> list:
     if cached is not None and len(cached) >= length:
         return cached
     if len(key) == 1:
-        vals = evaluate_range(key[0], length)
-        out = []
-        acc = 0
-        for v in vals:
-            acc += v
-            out.append(acc)
+        out = [_coeff(v) for v in accumulate(evaluate_range(key[0], length))]
     else:
         out = evaluate_range(key[0], length)
         for kern in key[1:]:
             kv = evaluate_range(kern, length)
             out = [
-                sum(out[j] * kv[b - j] for j in range(b + 1) if out[j])
+                _coeff(sum(out[j] * kv[b - j] for j in range(b + 1) if out[j]))
                 for b in range(length)
             ]
     _CONV_CACHE[key] = out
@@ -304,8 +274,6 @@ class NotCompilable:
     def __bool__(self):
         return False
 
-
-NOT_COMPILABLE = NotCompilable("not compilable")
 
 _RF_ONES = RatFun(P_ONE, Poly((1, -1)))  # 1/(1-x)
 
@@ -391,7 +359,7 @@ def _compile_product(expr: Product):
 
 
 def _npoly_mul(a: tuple, b: tuple) -> tuple:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -447,21 +415,22 @@ def expr_to_json(expr: SeqExpr):
 def expr_from_json(node) -> SeqExpr:
     tag = node[0]
     if tag == "term":
+        resolve(node[1])  # an unknown name fails at load, not at evaluation
         return Term(node[1], int(node[2]))
     if tag == "npoly":
-        return NPoly(tuple(Fraction(c) for c in node[1]))
+        return npoly(*node[1])
     if tag == "alt":
         return Alt(int(node[1]))
     if tag == "geo2":
         return Geo2(int(node[1]))
     if tag == "const":
-        return Const(Fraction(node[1]))
+        return const(node[1])
     if tag == "sum":
         return Sum(tuple(expr_from_json(t) for t in node[1:]))
     if tag == "product":
         return Product(tuple(expr_from_json(t) for t in node[1:]))
     if tag == "scale":
-        return Scale(Fraction(node[1]), expr_from_json(node[2]))
+        return Scale(_coeff(node[1]), expr_from_json(node[2]))
     if tag == "conv":
-        return ConvAtom(tuple(expr_from_json(k) for k in node[1]), int(node[2]))
+        return conv(*(expr_from_json(k) for k in node[1]), offset=int(node[2]))
     raise ValueError(f"unknown expression tag: {tag!r}")

@@ -116,7 +116,7 @@ def verify_symbolic(identity: Identity) -> VerifyReport | None:
 
 
 def verify(identity: Identity, n_max: int = 200, symbolic: bool = False) -> VerifyReport:
-    """Single-entry verification as used by the CLI.
+    """Proof or numeric check of one entry, ignoring any ``negative`` block.
 
     GF entries are always symbolic.  For sequence entries, ``symbolic=True``
     attempts the generating-function proof first and falls back to the
@@ -129,6 +129,19 @@ def verify(identity: Identity, n_max: int = 200, symbolic: bool = False) -> Veri
         if rep is not None:
             return rep
     return verify_numeric(identity, n_max)
+
+
+def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> tuple:
+    """The catalog's decision for one entry, as (ok, report).
+
+    A documented misprint is ok when it fails exactly as recorded
+    (:func:`negative_as_documented`); any other entry is ok when
+    :func:`verify` passes it.
+    """
+    if identity.negative:
+        return negative_as_documented(identity, n_max)
+    rep = verify(identity, n_max, symbolic)
+    return rep.passed, rep
 
 
 def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:
@@ -210,13 +223,22 @@ _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None)
 
 
 def _check_gf_tree(tree) -> None:
-    """Raise ValueError unless every node has the operand count its tag needs."""
+    """Raise unless every node has the operand count its tag needs, every
+    ``seqgf`` names a known sequence and every ``poly`` holds a list of
+    numbers."""
     if not isinstance(tree, list) or not tree or tree[0] not in _GF_ARITY:
         raise ValueError(f"not a gf tree: {tree!r}")
     low, high = _GF_ARITY[tree[0]]
     if not low <= len(tree) - 1 <= (high or len(tree)):
         raise ValueError(f"gf node {tree[0]!r} with {len(tree) - 1} operands")
-    if tree[0] not in ("seqgf", "poly"):
+    if tree[0] == "seqgf":
+        resolve(tree[1])
+    elif tree[0] == "poly":
+        if not isinstance(tree[1], list):
+            raise ValueError(f"poly operand is not a coefficient list: {tree[1]!r}")
+        for c in tree[1]:
+            Fraction(c)
+    else:
         for sub in tree[1:]:
             _check_gf_tree(sub)
 

@@ -18,13 +18,7 @@ import json
 from fractions import Fraction
 
 from .expressions import add, alt, conv, const, geo2, mul, npoly, scale, sub, term
-from .identity_catalog import (
-    Identity,
-    identity_to_json,
-    negative_as_documented,
-    verify_numeric,
-    verify_symbolic,
-)
+from .identity_catalog import Identity, identity_to_json, verdict
 from .sequences import mstep_name as ms
 
 J = "jacobsthal"
@@ -659,20 +653,9 @@ def build_identities() -> list:
 def smoke_check(idents, n_max: int = 60) -> None:
     """Fail fast on any encoding mistake before writing the data file."""
     for ident in idents:
-        if ident.kind == "gf":
-            rep = verify_symbolic(ident)
-            if not rep.passed:
-                raise AssertionError(f"gf entry fails: {ident.id}: {rep.first_failure}")
-        elif ident.negative:
-            ok, rep = negative_as_documented(ident, n_max)
-            if not ok:
-                raise AssertionError(
-                    f"negative entry does not fail as documented: {ident.id}: "
-                    f"{rep.first_failure}")
-        else:
-            rep = verify_numeric(ident, n_max)
-            if not rep.passed:
-                raise AssertionError(f"entry fails: {ident.id}: {rep.first_failure}")
+        ok, rep = verdict(ident, n_max)
+        if not ok:
+            raise AssertionError(f"entry fails its check: {ident.id}: {rep.first_failure}")
 
 
 def manifest_document(idents) -> dict:

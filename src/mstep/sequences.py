@@ -150,7 +150,7 @@ def resolve(name) -> RecurrenceSpec:
         return _REGISTRY[name]
     if name in _ALIASES:
         return _REGISTRY[_ALIASES[name]]
-    if name.startswith("F") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("F") and name[1:].isdigit():
         return make_mstep(int(name[1:]))
     raise KeyError(f"unknown sequence name: {name!r}")
 

@@ -175,12 +175,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def substitute_neg(self) -> "Poly":
         """p(x) -> p(-x)."""
         return Poly(tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)))
@@ -224,7 +218,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_X = Poly((0, 1))
 
 
 def _prem(a: Poly, b: Poly) -> Poly:
@@ -383,9 +376,6 @@ class RatFun:
             self.den * self.den,
         )
 
-    def series(self, count: int) -> list:
-        return series_coeffs(self, count)
-
     # -- rendering ---------------------------------------------------------------
     def __str__(self):
         num, den = self.num, self.den
@@ -409,11 +399,6 @@ def _as_ratfun(x) -> RatFun:
     if isinstance(x, Poly):
         return RatFun(x)
     return RatFun(Poly.const(x))
-
-
-RF_ZERO = RatFun(P_ZERO)
-RF_ONE = RatFun(P_ONE)
-RF_X = RatFun(P_X)
 
 
 def agrees_from(f: RatFun, g, n0: int) -> bool:

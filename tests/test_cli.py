@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from mstep.cli import main
 
@@ -196,6 +197,20 @@ def test_manifest_gf_node_without_operand_is_a_json_error(tmp_path, capsys):
              "rhs": ["seqgf", "F"], "n0": 0}
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
     assert code == 2 and doc["error"] == "ValueError" and "bad_gf" in doc["detail"]
+
+
+@pytest.mark.parametrize("kind, lhs", [
+    ("gf", ["poly", 5]),
+    ("gf", ["poly", [[1]]]),
+    ("gf", ["seqgf", 7]),
+    ("seq", ["conv", [], 0]),
+    ("seq", ["term", 7, 0]),
+])
+def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs):
+    rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]
+    entry = {"id": "bad_leaf", "kind": kind, "lhs": lhs, "rhs": rhs, "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
 
 
 def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from mstep import expressions as ex
+from mstep.convolution_oracle import conv_multi_prefix
 from mstep.sequences import handle
 from mstep.series_algebra import RatFun, gf_of, series_coeffs
 
@@ -26,7 +29,7 @@ def test_empty_simplex_is_zero():
     assert ex.evaluate_range(atom, 5) == [0] * 5
 
 
-def test_evaluate_range_agrees_with_pointwise():
+def test_evaluate_range_agrees_with_gf_and_oracle():
     exprs = [
         fq_rhs(),
         ex.conv(ex.term("F"), ex.term("T")),
@@ -39,7 +42,44 @@ def test_evaluate_range_agrees_with_pointwise():
     ]
     for e in exprs:
         ranged = ex.evaluate_range(e, 41)
-        assert ranged == [ex.evaluate(e, n) for n in range(41)]
+        assert ranged == series_coeffs(ex.gf_of_expr(e), 41)
+        if isinstance(e, ex.ConvAtom) and len(e.kernels) > 1 and all(
+                isinstance(k, ex.Term) and k.shift == 0 for k in e.kernels):
+            c = e.offset
+            naive = conv_multi_prefix([k.seq for k in e.kernels], 40 + c)
+            assert ranged == [naive[n + c] if n + c >= 0 else 0 for n in range(41)]
+
+
+def test_integral_columns_hold_ints():
+    exprs = [
+        ex.scale(-1, ex.term("F")),
+        ex.sub(ex.term("T"), ex.term("F")),
+        ex.conv(ex.sub(ex.term("F"), ex.term("T")), ex.term("Q")),
+    ]
+    for e in exprs:
+        assert all(type(v) is int for v in ex.evaluate_range(e, 60))
+
+
+def test_fractions_that_become_integral_come_back_as_ints():
+    half = Fraction(1, 2)
+    exprs = [
+        ex.add(ex.npoly(half), ex.npoly(half)),
+        ex.mul(ex.const(Fraction(3, 2)), ex.scale(Fraction(2, 3), ex.term("F"))),
+        ex.scale(half, ex.term("pow2")),
+        ex.npoly(half, half),
+        ex.geo2(-1),
+        ex.conv(ex.npoly(half)),
+        ex.conv(ex.npoly(half), ex.npoly(2)),
+    ]
+    for e in exprs:
+        values = ex.evaluate_range(e, 20)
+        assert all(type(v) is int or v.denominator != 1 for v in values)
+        assert any(type(v) is int and v for v in values)
+
+
+def test_evaluate_rejects_negative_index():
+    with pytest.raises(ValueError):
+        ex.evaluate(ex.term("F"), -1)
 
 
 def test_gf_of_partial_sum_identity():
