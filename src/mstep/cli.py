@@ -3,8 +3,9 @@
 Subcommands: seq, conv, verify, solve, table, search, gfcheck.  Output is
 deterministic text or JSON (rationals and big integers rendered as strings
 so nothing loses precision).  Exit codes: 0 success / all checks pass,
-1 verification failure, 2 usage or solver errors (reported as a JSON
-object {"error": ..., "detail": ...} on stdout).
+1 verification failure, 2 usage or solver errors and inputs above the
+caps below (reported as a JSON object {"error": ..., "detail": ...} on
+stdout).
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from . import pattern_search
 from .convolution_oracle import conv_multi_prefix
 from .sequences import handle, resolve
 from .series_algebra import NotAPowerSeries, agrees_from
+
+# Caps on numeric input, so that one invocation stays within seconds and
+# bounded memory; a larger value exits 2.  Times at each cap, 2-vCPU VM,
+# Python 3.11: `seq --name F --to 10000` 0.5 s, `conv --factors F,T,Q
+# --n 1000` 0.5 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
+# `table --max 9 --oracle-n 500` 1.6 s.  (The m-step order cap is
+# sequences.MAX_MSTEP_ORDER.)
+MAX_SEQ_INDEX = 10_000  # seq --to
+MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
+MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
+MAX_ORACLE_N = 500  # solve and table --oracle-n: the same oracle, once per cell
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +120,14 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command}")
 
 
+def _at_most(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise ValueError(f"{what} = {value} exceeds the cap {cap}")
+
+
 def _cmd_seq(args) -> int:
+    _at_most(args.stop, MAX_SEQ_INDEX, "--to")
+    _at_most(args.stop - args.start + 1, MAX_SEQ_TERMS, "term count --to - --from + 1")
     h = handle(args.name)
     terms = [h.term(n) for n in range(args.start, args.stop + 1)]
     if args.format == "json":
@@ -124,6 +143,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_conv(args) -> int:
+    _at_most(args.n, MAX_CONV_N, "--n")
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     values = conv_multi_prefix(factors, args.n)
     if args.format == "json":
@@ -177,19 +197,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     cf = solver.solve_conv_multi(factors)
-    cf.check_oracle(args.oracle_n)
+    oracle_ok = cf.check_oracle(args.oracle_n)
     if args.format == "json":
         print(json.dumps(cf.to_json()))
     elif args.format == "latex":
         print(cf.latex())
     else:
         print(cf.text())
-    return 0
+    return 0 if oracle_ok else 1
 
 
 def _cmd_table(args) -> int:
+    _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     cells = solver.table(args.max, oracle_n=args.oracle_n)
     if args.format == "json":
         print(json.dumps(cells))

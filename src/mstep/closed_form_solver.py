@@ -1,22 +1,24 @@
-"""Closed forms for convolutions of registered sequences.
+"""Closed forms for convolutions of linear-recurrence sequences.
 
-``solve_conv2`` / ``solve_conv_multi`` decompose the product generating
-function over pairwise-coprime denominators with a Bezout identity and
-convert each partial fraction A(x)/D_i(x) back into rational-coefficient
-shifts of sequence i:  for a sequence whose GF numerator is the monomial
-c*x^s, A/D = (A/(c x^s)) * gf, so the monomials of A map one-to-one onto
-shifts (a nonzero constant term of A yields the shift +1 term a_{n+1},
-which is exact because such sequences vanish at 0).  Any leftover
-polynomial goes into the finite ``corrections`` map, keeping the closed
-form total on n >= 0 under the one-sided convention.
+``solve_conv2`` / ``solve_conv_multi`` take any ``RecurrenceSpec`` values
+(or registered names) whose GF denominators are pairwise coprime.  The
+product GF N/D is divided once, N = Q*D + R; R/D splits over the factors'
+denominators D_i with one Bezout inverse each, and each partial fraction
+A(x)/D_i(x) becomes rational-coefficient shifts of sequence i:  for a
+sequence whose GF numerator is the monomial c*x^s, A/D = (A/(c x^s)) * gf,
+so the monomials of A map one-to-one onto shifts (a nonzero constant term
+of A yields the shift +1 term a_{n+1}, which is exact because such
+sequences vanish at 0).  The polynomial quotient Q, and the polynomial
+left by a non-monomial numerator, go into the finite ``corrections`` map,
+keeping the closed form total on n >= 0 under the one-sided convention.
 
 ``derive_case`` follows the stacking construction instead: multiplying the
 gap identity repeatedly by x^p and collapsing windows of consecutive terms
 (m-window to one term; (m+1)-window to twice one term; (2m+2)-window to
 four times one term).  It covers exactly the divisibility cases p|m,
 p|m+1 and p = 2m+2 and produces the aligned convolution together with its
-explicit other-terms; the result is cross-checked against the general
-solver through ``equivalent``.
+explicit other-terms; the closed form is cross-checked against the
+convolution's own generating function, F^(m)(x) * F^(m+p)(x).
 
 Closed forms are unique only modulo each sequence's recurrence kernel, so
 equality against a reference expression is never syntactic.  ``equivalent``
@@ -35,8 +37,8 @@ from fractions import Fraction
 from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
 from .identity_catalog import Identity, verify_numeric
-from .sequences import RecurrenceSpec, handle, make_mstep, mstep_name, resolve
-from .series_algebra import Poly, RatFun, agrees_from, bezout, combo_gf, gf_of, poly_gcd
+from .sequences import handle, make_mstep, mstep_name, resolve
+from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, combo_gf, gf_of, poly_gcd
 
 
 class SolverError(Exception):
@@ -82,18 +84,17 @@ _LATEX_SYMBOLS = {
 class ClosedForm:
     """sum over parts of coeff * seq_{n+shift}, plus finite corrections."""
 
-    factors: tuple
-    parts: tuple  # ((seq name, {shift: Fraction}), ...)
+    factors: tuple  # (RecurrenceSpec, ...)
+    parts: tuple  # ((RecurrenceSpec, {shift: coefficient}), ...)
     corrections: dict
-    validity: int = 0
     gf_equal: bool = False
     oracle_max_n: int = -1
 
     def evaluate(self, n: int):
         denom = self._denominator()
         acc = 0
-        for name, combo in self.parts:
-            h = handle(name)
+        for spec, combo in self.parts:
+            h = handle(spec)
             for s, c in combo.items():
                 acc += c.numerator * (denom // c.denominator) * h.term(n + s)
         return Fraction(acc, denom) + self.corrections.get(n, 0)
@@ -113,8 +114,8 @@ class ClosedForm:
         if self.corrections:
             top = max(self.corrections)
             acc = RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
-        for name, combo in self.parts:
-            acc = acc + combo_gf(resolve(name), combo)
+        for spec, combo in self.parts:
+            acc = acc + combo_gf(spec, combo)
         return acc
 
     def check_oracle(self, n_max: int = 100) -> bool:
@@ -129,17 +130,17 @@ class ClosedForm:
 
     def to_json(self) -> dict:
         parts = []
-        for name, combo in self.parts:
+        for spec, combo in self.parts:
             terms = [
                 {"shift": s, "coeff": str(combo[s])}
                 for s in sorted(combo, reverse=True)
             ]
-            parts.append({"seq": name, "terms": terms})
+            parts.append({"seq": spec.name, "terms": terms})
         corrections = [
             {"n": n, "coeff": str(self.corrections[n])} for n in sorted(self.corrections)
         ]
         return {
-            "factors": list(self.factors),
+            "factors": [spec.name for spec in self.factors],
             "parts": parts,
             "corrections": corrections,
             "verified": {"gf_equal": self.gf_equal, "oracle_max_n": self.oracle_max_n},
@@ -149,7 +150,8 @@ class ClosedForm:
     def _render(self, symbols, term_fmt, wrap_fmt, corr_fmt) -> str:
         denom = self._denominator()
         pieces = []
-        for name, combo in self.parts:
+        for spec, combo in self.parts:
+            name = spec.name
             for s in sorted(combo, reverse=True):
                 pieces.append((combo[s] * denom, term_fmt(symbols.get(name, name), name, s)))
         terms = []
@@ -200,10 +202,11 @@ class ClosedForm:
 def solve_conv_multi(specs) -> ClosedForm:
     """Closed form for the convolution of one or more sequences.
 
+    ``specs`` are ``RecurrenceSpec`` values or names ``resolve`` knows.
     Requires pairwise-coprime GF denominators; the decomposition is exact
     and GF-verified on construction.
     """
-    specs = [resolve(s) if isinstance(s, str) else s for s in specs]
+    specs = [resolve(s) for s in specs]
     if not specs:
         raise SolverError("need at least one factor")
     gfs = [gf_of(s) for s in specs]
@@ -219,49 +222,35 @@ def solve_conv_multi(specs) -> ClosedForm:
                 raise NonCoprime(g, (specs[i].name, specs[j].name))
 
     if len(specs) == 1:
-        cf = ClosedForm(
-            factors=(specs[0].name,),
-            parts=((specs[0].name, {0: Fraction(1)}),),
+        return ClosedForm(
+            factors=tuple(specs),
+            parts=((specs[0], {0: Fraction(1)}),),
             corrections={},
             gf_equal=True,
         )
-        return cf
 
-    product = gfs[0]
-    for g in gfs[1:]:
-        product = product * g
-
+    num = den = P_ONE
+    for g in gfs:
+        num, den = num * g.num, den * g.den
+    # N/D = Q + R/D with R/D = sum_i A_i/D_i, A_i = R * (D/D_i)^-1 mod D_i.
+    quotient, rem = divmod(num, den)
     corrections: dict = {}
+    _add_poly_corrections(corrections, quotient)
     parts = []
-    residue_total = RatFun(Poly())
-    for i, spec in enumerate(specs):
-        rest = Poly((1,))
-        for j, d in enumerate(dens):
-            if j != i:
-                rest = rest * d
-        u, v, g = bezout(dens[i], rest)
-        if g.degree > 0:
-            raise NonCoprime(g, tuple(s.name for s in specs))
-        # v/g is the inverse of `rest` modulo dens[i].
-        inv = v * Fraction(1, g.coeffs[0])
-        a_i = (product.num * inv) % dens[i]
-        frac = RatFun(a_i, dens[i])
-        residue_total = residue_total + frac
-        combo, extra = _fraction_to_shifts(spec, a_i)
-        parts.append((spec.name, combo))
+    for spec, g in zip(specs, gfs):
+        d = g.den
+        _, v, c = bezout(d, den // d)  # coprime, so c is a nonzero constant
+        a_i = (rem * v * Fraction(1, c.coeffs[0])) % d
+        combo, extra = _fraction_to_shifts(g, a_i)
+        parts.append((spec, combo))
         _add_poly_corrections(corrections, extra)
 
-    leftover = product - residue_total
-    if not leftover.is_zero():
-        poly = leftover.as_polynomial()
-        _add_poly_corrections(corrections, poly)
-
     cf = ClosedForm(
-        factors=tuple(s.name for s in specs),
+        factors=tuple(specs),
         parts=tuple(parts),
         corrections={n: c for n, c in corrections.items() if c != 0},
     )
-    cf.gf_equal = cf.gf() == product
+    cf.gf_equal = cf.gf() == RatFun(num, den)
     if not cf.gf_equal:
         raise AssertionError("internal error: reconstruction does not match product GF")
     return cf
@@ -272,18 +261,17 @@ def solve_conv2(a, b) -> ClosedForm:
     return solve_conv_multi([a, b])
 
 
-def _fraction_to_shifts(spec: RecurrenceSpec, a: Poly):
-    """Express A/den(spec) as shifts of the sequence plus a polynomial.
+def _fraction_to_shifts(g: RatFun, a: Poly):
+    """Express A/D as shifts of the sequence with GF g = N/D plus a polynomial.
 
     With GF numerator c*x^s, A/D = (A/(c x^s)) * gf, so monomial k of A
     becomes the shift s-k.  Shifts up to +s are exact power series because
-    the sequence vanishes below index s.  Non-monomial numerators (no
-    registered sequence has one) fall back to a Bezout rewrite whose
-    leftover polynomial lands in the corrections.
+    the sequence vanishes below index s.  Non-monomial numerators (the
+    Lucas numbers' 2 - x, or any other seeds a caller gives) fall back to a
+    Bezout rewrite whose leftover polynomial lands in the corrections.
     """
     if a.is_zero():
         return {}, Poly()
-    g = gf_of(spec)
     num = g.num
     val = num.valuation()
     if all(c == 0 for k, c in enumerate(num.coeffs) if k != val):
@@ -293,12 +281,9 @@ def _fraction_to_shifts(spec: RecurrenceSpec, a: Poly):
             if c:
                 combo[val - k] = Fraction(c, c0)
         return combo, Poly()
-    alpha, beta, g1 = bezout(num, g.den)
-    if g1.degree > 0:
-        raise SolverError(f"numerator and denominator of {spec.name} share {g1}")
-    alpha = alpha * Fraction(1, g1.coeffs[0])
-    beta = beta * Fraction(1, g1.coeffs[0])
-    c_part = (a * alpha) % g.den
+    # gf_of is in lowest terms, so g1 is a nonzero constant.
+    alpha, _, g1 = bezout(num, g.den)
+    c_part = (a * alpha * Fraction(1, g1.coeffs[0])) % g.den
     combo = {-k: c for k, c in enumerate(c_part.coeffs) if c}
     extra = (a - c_part * num) // g.den
     return combo, extra
@@ -341,13 +326,13 @@ class CaseDerivation:
     cross_checked: bool = field(default=False)
 
 
-def derive_case(m: int, p: int, cf: ClosedForm | None = None) -> CaseDerivation:
+def derive_case(m: int, p: int) -> CaseDerivation:
     """Reproduce the stacking derivation for conv(F^(m), F^(m+p)).
 
     Emits the aligned restricted convolution with its explicit other-terms
     and the resulting closed form, then cross-checks the closed form
-    against the independent partial-fraction solver.  ``cf`` is that
-    solver's closed form when the caller has already solved the cell.
+    against the convolution's generating function F^(m)(x) * F^(m+p)(x),
+    with no partial-fraction solve.
     """
     if m < 2 or p < 1:
         raise CaseNotApplicable(f"need m >= 2 and p >= 1, got (m, p) = ({m}, {p})")
@@ -367,11 +352,10 @@ def derive_case(m: int, p: int, cf: ClosedForm | None = None) -> CaseDerivation:
     rep = verify_numeric(ident, 80)
     if not rep.passed:
         raise AssertionError(f"derived identity fails: {ident.id}: {rep.first_failure}")
-    if cf is None:
-        cf = solve_conv2(make_mstep(m), make_mstep(m + p))
-    checked = equivalent(cf, closed, 0)
+    product = gf_of(make_mstep(m)) * gf_of(make_mstep(m + p))
+    checked = agrees_from(product, ex.gf_of_expr(closed), 0)
     if not checked:
-        raise AssertionError(f"derivation disagrees with the solver for (m={m}, p={p})")
+        raise AssertionError(f"derivation disagrees with the convolution for (m={m}, p={p})")
     return CaseDerivation(m, p, case, ell, ident, closed, checked)
 
 
@@ -471,13 +455,16 @@ def cell_label(m: int, p: int) -> str:
     return "general-solver"
 
 
-def table(max_sum: int = 9, oracle_n: int = 100, derive: bool = True) -> list:
+def table(max_sum: int = 9, oracle_n: int = 100) -> list:
     """Solve and verify every convolution cell with 2 <= m, 1 <= p, m+p <= max_sum.
 
     Each cell reports the applicable case label (or "general-solver"), the
     solver's closed form, GF-equality and oracle verification status, and,
-    when a case derivation applies, its agreement with the solver.
+    when a case derivation applies, whether it cross-checked.  Raises
+    ValueError when the grid is empty (max_sum < 3): nothing would be checked.
     """
+    if max_sum < 3:
+        raise ValueError(f"no cell has m >= 2, p >= 1 and m + p <= {max_sum}")
     cells = []
     for m in range(2, max_sum - 1 + 1):
         for p in range(1, max_sum - m + 1):
@@ -485,8 +472,8 @@ def table(max_sum: int = 9, oracle_n: int = 100, derive: bool = True) -> list:
             oracle_ok = cf.check_oracle(oracle_n)
             label = cell_label(m, p)
             case_equivalent = None
-            if derive and label != "general-solver":
-                case_equivalent = derive_case(m, p, cf).cross_checked
+            if label != "general-solver":
+                case_equivalent = derive_case(m, p).cross_checked
             cells.append({
                 "m": m,
                 "p": p,

@@ -173,10 +173,15 @@ def evaluate(expr: SeqExpr, n: int):
     """Exact value at index n >= 0: an int when integral, else a Fraction.
 
     A view of :func:`evaluate_range`, the one evaluator of expression trees.
+    A cached column too short for n is at least doubled, so evaluating
+    n = 0, 1, 2, ... in turn costs linear time, not quadratic.
     """
     if n < 0:
         raise ValueError(f"index {n} is negative")
-    return evaluate_range(expr, n + 1)[n]
+    cached = _RANGE_CACHE.get(expr, ())
+    if len(cached) <= n:
+        cached = evaluate_range(expr, max(n + 1, 2 * len(cached)))
+    return cached[n]
 
 
 _RANGE_CACHE: dict = {}

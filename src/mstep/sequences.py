@@ -29,6 +29,12 @@ _MSTEP_NAMES = {
     8: "octanacci",
 }
 
+# Largest order make_mstep builds.  Its seeds 2^(k-2), k < m, take about
+# m^2/2 bits and every later term sums m earlier ones, so without a cap one
+# short name such as "F100000000" reaches unbounded memory.  At the cap,
+# `seq --name F500 --to 10000` runs in about 5 s.
+MAX_MSTEP_ORDER = 500
+
 _ALIASES = {
     "J": "jacobsthal",
     "O": "octanacci",
@@ -113,6 +119,8 @@ def make_mstep(m: int) -> RecurrenceSpec:
     """
     if m < 1:
         raise ValueError("m-step order must be a positive integer")
+    if m > MAX_MSTEP_ORDER:
+        raise ValueError(f"m-step order {m} exceeds the cap {MAX_MSTEP_ORDER}")
     if m == 1:
         return RecurrenceSpec("F1", 1, (1,), (0, 1))
     seeds = [0, 1] + [2 ** (k - 2) for k in range(2, m)]

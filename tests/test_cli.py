@@ -1,8 +1,19 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from mstep.cli import main
+
+REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+# The command that recorded each perfbench/ref/<name>.txt (perfbench/README.md).
+REF_COMMANDS = {
+    "catalog": ["verify", "--all", "--max-n", "200"],
+    "catalog-symbolic": ["verify", "--all", "--max-n", "200", "--symbolic"],
+    "table-12": ["table", "--max", "12"],
+    **{f"search-m{m}": ["search", "--m", str(m), "--max-p", "14", "--max-k", "3",
+                        "--max-span", "6"] for m in range(2, 7)},
+}
 
 
 def run(capsys, *argv):
@@ -127,6 +138,45 @@ def test_table_small(capsys):
     assert "cells: 10/10 solved and verified" in out
 
 
+@pytest.mark.parametrize("max_sum", ["2", "-5"])
+def test_table_on_an_empty_grid_is_an_error_not_a_pass(capsys, max_sum):
+    code, out = run(capsys, "table", "--max", max_sum)
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "no cell" in doc["detail"]
+
+
+def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
+    from mstep.closed_form_solver import ClosedForm
+
+    real = ClosedForm.evaluate
+    monkeypatch.setattr(ClosedForm, "evaluate", lambda self, n: real(self, n) + 1)
+    code, out = run(capsys, "solve", "--factors", "F,T", "--format", "text")
+    assert code == 1
+    assert out == "- F[n+1] - F[n] + T[n+1] + T[n] + T[n-1]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--name", "F100000000", "--to", "3"],
+    ["solve", "--factors", "F,F100000000"],
+    ["seq", "--name", "F", "--to", "1000000000"],
+    ["seq", "--name", "F", "--from", "-1000000000", "--to", "0"],
+    ["conv", "--factors", "F,T", "--n", "1000000000"],
+    ["solve", "--factors", "F,T", "--oracle-n", "1000000000"],
+    ["table", "--max", "4", "--oracle-n", "1000000000"],
+])
+def test_inputs_above_the_caps_exit_2(capsys, argv):
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in REF_DIR.glob("*.txt")))
+def test_stdout_matches_the_benchmark_reference(capsys, name):
+    code, out = run(capsys, *REF_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (REF_DIR / f"{name}.txt").read_bytes()
+
+
 def test_search_json_lines(capsys):
     code, out = run(capsys, "search", "--m", "2", "--max-p", "6", "--max-k", "2",
                     "--max-span", "3")
@@ -211,6 +261,13 @@ def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs):
     entry = {"id": "bad_leaf", "kind": kind, "lhs": lhs, "rhs": rhs, "n0": 0}
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
+
+
+def test_manifest_order_above_the_cap_is_a_json_error(tmp_path, capsys):
+    entry = {"id": "huge_order", "kind": "seq", "lhs": ["term", "F100000000", 0],
+             "rhs": ["term", "F", 0], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
 
 
 def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_solve_multi_triple_and_quadruple():
 
 def test_solve_single_factor_is_identity():
     cf = solve_conv_multi(["F"])
-    assert cf.parts == (("F", {0: Fraction(1)}),)
+    assert cf.parts == ((resolve("F"), {0: Fraction(1)}),)
     assert all(cf.evaluate(n) == conv_multi(["F"], n) for n in range(30))
 
 

@@ -128,3 +128,20 @@ def test_json_roundtrip():
     ]
     for e in exprs:
         assert ex.expr_from_json(ex.expr_to_json(e)) == e
+
+
+def test_pointwise_evaluate_extends_the_cache_geometrically(monkeypatch):
+    e = ex.conv(ex.term("F"), ex.term("T"), ex.term("Q"))
+    ex.clear_caches()
+    real = ex._compute_range
+    root_calls = []
+
+    def counted(expr, length):
+        if expr == e:
+            root_calls.append(length)
+        return real(expr, length)
+
+    monkeypatch.setattr(ex, "_compute_range", counted)
+    values = [ex.evaluate(e, n) for n in range(300)]
+    assert values == conv_multi_prefix(["F", "T", "Q"], 299)
+    assert len(root_calls) <= 10
