@@ -24,14 +24,22 @@ from .series_algebra import NotAPowerSeries, agrees_from
 
 # Caps on numeric input, so that one invocation stays within seconds and
 # bounded memory; a larger value exits 2.  Times at each cap, 2-vCPU VM,
-# Python 3.11: `seq --name F --to 10000` 0.5 s, `conv --factors F,T,Q
-# --n 1000` 0.5 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
-# `table --max 9 --oracle-n 500` 1.6 s.  (The m-step order cap is
-# sequences.MAX_MSTEP_ORDER.)
+# Python 3.11: `seq --name F --to 10000` 0.5 s, `conv` with 12 factors
+# and `--n 1000` 2.7 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
+# `table --max 14 --oracle-n 500` 4.5 s, `verify --all --max-n 2000`
+# 2.8 s (193 MB), `search --m 12` at the four search caps 5.0 s.  (The
+# m-step order cap is sequences.MAX_MSTEP_ORDER.)
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
 MAX_ORACLE_N = 500  # solve and table --oracle-n: the same oracle, once per cell
+MAX_FACTORS = 12  # conv and solve --factors: each factor is one more oracle pass
+MAX_TABLE_SUM = 14  # table --max: (N - 2)(N - 1)/2 cells, one solve each
+MAX_VERIFY_N = 2_000  # verify --max-n: n values of about 0.7n bits per column
+MAX_SEARCH_P = 16  # search --max-p
+MAX_SEARCH_K = 4  # search --max-k: the offset sets K grow like span^(k-1)
+MAX_SEARCH_SPAN = 12  # search --max-span
+MAX_SEARCH_L = 40  # search --l-window: residues kept and l scanned per candidate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,8 +133,20 @@ def _at_most(value: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} = {value} exceeds the cap {cap}")
 
 
+def _at_least(value: int, floor: int, what: str) -> None:
+    if value < floor:
+        raise ValueError(f"{what} = {value} is below {floor}: the range is empty")
+
+
+def _factors(args) -> list:
+    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
+    _at_most(len(factors), MAX_FACTORS, "factor count")
+    return factors
+
+
 def _cmd_seq(args) -> int:
     _at_most(args.stop, MAX_SEQ_INDEX, "--to")
+    _at_least(args.stop, args.start, "--to")
     _at_most(args.stop - args.start + 1, MAX_SEQ_TERMS, "term count --to - --from + 1")
     h = handle(args.name)
     terms = [h.term(n) for n in range(args.start, args.stop + 1)]
@@ -144,7 +164,8 @@ def _cmd_seq(args) -> int:
 
 def _cmd_conv(args) -> int:
     _at_most(args.n, MAX_CONV_N, "--n")
-    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
+    _at_least(args.n, 0, "--n")
+    factors = _factors(args)
     values = conv_multi_prefix(factors, args.n)
     if args.format == "json":
         print(json.dumps({
@@ -157,6 +178,7 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_most(args.max_n, MAX_VERIFY_N, "--max-n")
     idents = catalog.load_manifest(args.manifest)
     if args.id is not None:
         index = catalog.catalog_index(idents)
@@ -198,7 +220,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
-    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
+    factors = _factors(args)
     cf = solver.solve_conv_multi(factors)
     oracle_ok = cf.check_oracle(args.oracle_n)
     if args.format == "json":
@@ -212,6 +234,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
+    _at_most(args.max, MAX_TABLE_SUM, "--max")
     cells = solver.table(args.max, oracle_n=args.oracle_n)
     if args.format == "json":
         print(json.dumps(cells))
@@ -228,6 +251,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _at_most(args.max_p, MAX_SEARCH_P, "--max-p")
+    _at_most(args.max_k, MAX_SEARCH_K, "--max-k")
+    _at_most(args.max_span, MAX_SEARCH_SPAN, "--max-span")
+    _at_most(args.l_window or 0, MAX_SEARCH_L, "--l-window")
     sols = pattern_search.search(
         args.m, p_max=args.max_p, k_card_max=args.max_k,
         k_span_max=args.max_span, l_window=args.l_window)

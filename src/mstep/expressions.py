@@ -19,6 +19,10 @@ Node kinds
 Evaluation is exact.  ``evaluate_range`` is the one evaluator: it
 tabulates a whole prefix of values column by column and turns ConvAtoms
 into cached convolution tables; ``evaluate(expr, n)`` is a view of it.
+A table multiplies in each further kernel through the denominator D of
+the kernel's generating function (D = 1 when it does not compile): with
+E = D*kernel, which has finite support when D is right, the table is
+(table*E)/D, so it costs linear, not quadratic, time in its length.
 Every number (node scalars and column values alike) is an int when it is
 integral and a Fraction only when it is not, the rule of
 ``series_algebra``.  Brute-force simplex enumeration lives only in
@@ -44,6 +48,7 @@ from .series_algebra import (
     _coeff,
     drop_prefix,
     series_coeffs,
+    series_divide,
     shifted_gf,
 )
 
@@ -253,13 +258,37 @@ def _conv_table(kernels: tuple, length: int) -> list:
     else:
         out = evaluate_range(key[0], length)
         for kern in key[1:]:
-            kv = evaluate_range(kern, length)
-            out = [
-                _coeff(sum(out[j] * kv[b - j] for j in range(b + 1) if out[j]))
-                for b in range(length)
-            ]
+            hint = gf_of_expr(kern)
+            den = P_ONE if isinstance(hint, NotCompilable) else hint.den
+            out = _convolve(out, evaluate_range(kern, length), den)
     _CONV_CACHE[key] = out
     return out
+
+
+def _convolve(a: list, b: list, den: Poly) -> list:
+    """The first len(a) coefficients of the product series a*b.
+
+    Computed as (a*E)/den mod x^len(a) with E = den*b, which is exact for
+    any den with den(0) != 0; den only decides the cost.  When den is the
+    denominator of b's generating function, E has finite support and the
+    work is linear in the length; den = 1 makes E = b, the direct sum.
+    """
+    length = len(a)
+    dens = [(i, d) for i, d in enumerate(den.coeffs) if d]
+    e = []
+    for k in range(length):
+        ek = _coeff(sum(d * b[k - i] for i, d in dens if i <= k))
+        if ek:
+            e.append((k, ek))
+    num = []
+    for n in range(length):
+        acc = 0
+        for k, ek in e:
+            if k > n:
+                break
+            acc += ek * a[n - k]
+        num.append(acc)
+    return series_divide(num, den, length)
 
 
 # -- compilation to generating functions -----------------------------------------

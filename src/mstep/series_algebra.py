@@ -420,21 +420,30 @@ def series_coeffs(f: RatFun, count: int) -> list:
 
     Requires den(0) != 0, i.e. f must be a formal power series.
     """
+    return series_divide(f.num.coeffs, f.den, count)
+
+
+def series_divide(num, den: Poly, count: int) -> list:
+    """First ``count`` Taylor coefficients of num/den around 0, exact.
+
+    ``num`` is a coefficient list, zero past its end.  Requires
+    den(0) != 0.  Each coefficient costs one product per nonzero
+    coefficient of den beyond the constant one.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    den = f.den
-    if den[0] == 0:
-        raise NotAPowerSeries(f"den(0) = 0 in {f}")
     d0 = den[0]
-    dd = den.degree
-    num = f.num
+    if d0 == 0:
+        raise NotAPowerSeries(f"den(0) = 0 in {den}")
+    tail = [(k, dk) for k, dk in enumerate(den.coeffs) if k and dk]
+    size = len(num)
     out = []
     for n in range(count):
-        acc = num[n]
-        for k in range(1, min(n, dd) + 1):
-            dk = den[k]
-            if dk:
-                acc -= dk * out[n - k]
+        acc = num[n] if n < size else 0
+        for k, dk in tail:
+            if k > n:
+                break
+            acc -= dk * out[n - k]
         out.append(_div(acc, d0))
     return out
 

@@ -163,11 +163,30 @@ def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
     ["conv", "--factors", "F,T", "--n", "1000000000"],
     ["solve", "--factors", "F,T", "--oracle-n", "1000000000"],
     ["table", "--max", "4", "--oracle-n", "1000000000"],
+    ["verify", "--all", "--max-n", "1000000"],
+    ["verify", "--id", "conv_FQ", "--max-n", "1000000", "--symbolic"],
+    ["table", "--max", "500", "--oracle-n", "0"],
+    ["conv", "--factors", ",".join(["F"] * 13), "--n", "3"],
+    ["solve", "--factors", ",".join(f"F{m}" for m in range(1, 14)), "--oracle-n", "0"],
+    ["search", "--m", "2", "--max-p", "1000000000"],
+    ["search", "--m", "2", "--max-k", "1000000000"],
+    ["search", "--m", "2", "--max-span", "1000000000"],
+    ["search", "--m", "2", "--l-window", "1000000000"],
 ])
 def test_inputs_above_the_caps_exit_2(capsys, argv):
     code, out = run(capsys, *argv)
     doc = json.loads(out)
     assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conv", "--factors", "F,T", "--n", "-1"],
+    ["seq", "--name", "F", "--from", "5", "--to", "2"],
+])
+def test_empty_ranges_are_an_error_not_an_empty_line(capsys, argv):
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "empty" in doc["detail"]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in REF_DIR.glob("*.txt")))

@@ -1,6 +1,8 @@
 """Property tests for the expression evaluator: on random trees inside the
 rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
-compiled generating function, and every integral value is an int."""
+compiled generating function, and every integral value is an int.  The
+convolution step equals a direct Cauchy sum for any denominator hint, and
+so does every multi-kernel convolution table of the catalog."""
 
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
-from mstep.series_algebra import series_coeffs
+from mstep.convolution_oracle import conv_multi_prefix
+from mstep.identity_catalog import load_manifest
+from mstep.series_algebra import P_ONE, Poly, series_coeffs, series_divide
 
 LENGTH = 30
 
@@ -44,3 +48,86 @@ def test_evaluate_range_is_the_series_of_the_gf(e):
     values = ex.evaluate_range(e, LENGTH)
     assert values == series_coeffs(ex.gf_of_expr(e), LENGTH)
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
+
+
+def direct_product(a, b):
+    """The first len(a) coefficients of a*b by the Cauchy sum."""
+    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
+
+
+numbers = st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=5))
+# any hint with D(0) != 0: D = 1, hints that annihilate b, and hints that do not
+hints = st.one_of(
+    st.just(P_ONE),
+    st.builds(lambda d0, rest: Poly((d0, *rest)), numbers.filter(bool),
+              st.lists(numbers, max_size=4)),
+)
+
+
+@st.composite
+def convolution_inputs(draw):
+    length = draw(st.integers(1, 24))
+    column = st.lists(numbers, min_size=length, max_size=length)
+    den = draw(hints)
+    if draw(st.booleans()):
+        # b = num/den, so den annihilates b and E = den*b has finite support
+        b = series_divide(draw(st.lists(numbers, max_size=6)), den, length)
+    else:
+        b = draw(column)
+    return draw(column), b, den
+
+
+@settings(deadline=None, max_examples=200)
+@given(convolution_inputs())
+def test_convolve_equals_the_direct_sum_for_any_hint(inputs):
+    a, b, den = inputs
+    got = ex._convolve(a, b, den)
+    assert got == direct_product(a, b)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in got)
+
+
+def _conv_atoms(e, found):
+    """Every ConvAtom in the tree e, added to the set found."""
+    if isinstance(e, ex.ConvAtom):
+        found.add(e)
+        children = e.kernels
+    elif isinstance(e, ex.Sum):
+        children = e.terms
+    elif isinstance(e, ex.Product):
+        children = e.factors
+    elif isinstance(e, ex.Scale):
+        children = (e.child,)
+    else:
+        children = ()
+    for child in children:
+        _conv_atoms(child, found)
+    return found
+
+
+def test_catalog_convolution_tables_equal_the_direct_sum():
+    length = 401
+    atoms = set()
+    for ident in load_manifest():
+        if ident.kind == "seq":
+            _conv_atoms(ident.lhs, atoms)
+            _conv_atoms(ident.rhs, atoms)
+    multi = sorted((a for a in atoms if len(a.kernels) > 1), key=repr)
+    assert len(multi) > 200
+    top = length + max(max(a.offset for a in multi), 0)  # table length that every atom reads
+    ex.clear_caches()
+    tables, naive = {}, {}
+    for atom in multi:
+        kernels = tuple(sorted(atom.kernels, key=repr))
+        if kernels not in tables:
+            table = ex.evaluate_range(kernels[0], top)
+            for kern in kernels[1:]:
+                table = direct_product(table, ex.evaluate_range(kern, top))
+            tables[kernels] = table
+        c = atom.offset
+        want = [tables[kernels][n + c] if n + c >= 0 else 0 for n in range(length)]
+        assert ex.evaluate_range(atom, length) == want, atom
+        if all(isinstance(k, ex.Term) and k.shift == 0 for k in kernels):
+            names = tuple(k.seq for k in kernels)
+            if names not in naive:
+                naive[names] = conv_multi_prefix(names, top - 1)
+            assert naive[names] == tables[kernels], names
