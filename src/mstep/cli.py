@@ -27,8 +27,9 @@ from .series_algebra import NotAPowerSeries, agrees_from
 # Python 3.11: `seq --name F --to 10000` 0.5 s, `conv` with 12 factors
 # and `--n 1000` 2.7 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
 # `table --max 14 --oracle-n 500` 4.5 s, `verify --all --max-n 2000`
-# 2.8 s (193 MB), `search --m 12` at the four search caps 5.0 s.  (The
-# m-step order cap is sequences.MAX_MSTEP_ORDER.)
+# 2.8 s (193 MB), `search` at the four search caps 0.2-0.5 s for each of
+# m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
+# sequences.MAX_MSTEP_ORDER.)
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
@@ -39,7 +40,7 @@ MAX_VERIFY_N = 2_000  # verify --max-n: n values of about 0.7n bits per column
 MAX_SEARCH_P = 16  # search --max-p
 MAX_SEARCH_K = 4  # search --max-k: the offset sets K grow like span^(k-1)
 MAX_SEARCH_SPAN = 12  # search --max-span
-MAX_SEARCH_L = 40  # search --l-window: residues kept and l scanned per candidate
+MAX_SEARCH_L = 40  # search --l-window: residues of x^l kept in the lookup
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,11 +12,19 @@ nonnegative shifts the identity holds for all n >= 0 iff
 
     sum_s c_s x^s  ==  N * x^l   (mod chi_m)
 
-(Fiduccia 1985).  The residues of x^s are computed once and shared by
-every candidate, and the test is proportionality of two residue vectors, so
-every returned solution is proven, not sampled.  Solutions are canonical
-under translation (shifting K by t shifts l by t), and for a fixed (K, p)
-at most one (N, l) can exist, so the output is free of duplicates.
+(Fiduccia 1985).  chi_m is monic, so the residues of x^s are exact
+integer vectors; they are computed once per call as sparse maps
+exponent -> coefficient (x^s is a single term for every s < m, which is
+nearly every shift when m is large).  Each residue of x^l, made primitive
+and sign-normalised, is mapped to the smallest l that gives it.  A
+candidate (K, p) then costs one integer sum of its window's residues,
+built up from (K, p - 1), one normalisation and one dict lookup: it is a
+solution iff its primitive part is in the map at an l inside the window,
+and N is the ratio of the two signed contents.  No polynomial or Fraction
+arithmetic runs per candidate, and every returned solution is proven, not
+sampled.  Solutions are canonical under translation (shifting K by t
+shifts l by t), and each (K, p) yields at most one solution, at its
+smallest l, so the output is free of duplicates.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .sequences import handle, make_mstep
-from .series_algebra import P_ONE, P_ZERO, Poly, gf_of
+from .series_algebra import gf_of
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,33 @@ class PatternSolution:
         }
 
 
-def window_combo(K, p: int) -> dict:
-    """Shift multiset of the double sum: shift -> multiplicity."""
-    combo: dict = {}
-    for k in K:
-        for j in range(p):
-            combo[k + j] = combo.get(k + j, 0) + 1
-    return combo
+def _residues(m: int, count: int) -> list:
+    """x^s mod chi_m for s = 0 .. count, each a sparse map exponent -> int.
+
+    chi_m, the reversal of the GF denominator, is monic, so x^m reduces to
+    an integer tail and no division is needed."""
+    den = gf_of(make_mstep(m)).den.coeffs
+    tail = {i: -den[m - i] for i in range(m) if den[m - i]}
+    residues = [{0: 1}]
+    for _ in range(count):
+        prev = residues[-1]
+        r = {e + 1: c for e, c in prev.items() if e + 1 < m}
+        lead = prev.get(m - 1)
+        if lead:
+            for i, t in tail.items():
+                r[i] = r.get(i, 0) + lead * t
+        residues.append(r)
+    return residues
+
+
+def _split(r: dict):
+    """(signed content, primitive part) of a nonzero residue.  The part is
+    hashable and its leading coefficient is positive, so two residues are
+    proportional iff their parts are equal."""
+    g = gcd(*r.values())
+    if r[max(r)] < 0:
+        g = -g
+    return g, frozenset((e, c // g) for e, c in r.items())
 
 
 def search(m: int, p_max: int, k_card_max: int, k_span_max: int,
@@ -66,35 +95,36 @@ def search(m: int, p_max: int, k_card_max: int, k_span_max: int,
     """All solutions within the bounds, in deterministic ascending order.
 
     K runs over canonical sets: 0 in K, |K| <= k_card_max, max K <= k_span_max.
-    The scan range for l defaults to 0 .. max(K)+p+m, which bounds the
-    dominant shift of any window combination.  A candidate (K, p, l) is a
+    l ranges over 0 .. l_window, by default 0 .. max(K)+p+m, which bounds the
+    dominant shift of any window combination.  A candidate (K, p) is a
     solution iff the residue of its window combination is a nonzero
-    multiple N of the residue of x^l modulo chi_m.
+    multiple N of the residue of x^l modulo chi_m for some l in range; the
+    smallest such l is reported.
     """
     if m < 2 or p_max < 1 or k_card_max < 1 or k_span_max < 0 or (l_window or 0) < 0:
         raise ValueError("bounds must be positive (m >= 2, l_window >= 0)")
-    # residues[s] = x^s mod chi_m for every shift and every l the scan reaches
-    chi = Poly(reversed(gf_of(make_mstep(m)).den.coeffs))
-    residues = [P_ONE]
-    for _ in range(max(k_span_max + p_max + m, l_window or 0)):
-        residues.append(residues[-1].shift(1) % chi)
+    residues = _residues(m, max(k_span_max + p_max + m, l_window or 0))
+    # primitive part of x^l mod chi_m -> (smallest such l, signed content)
+    first_l: dict = {}
+    for l, r in enumerate(residues):
+        g, part = _split(r)
+        first_l.setdefault(part, (l, g))
     solutions = []
     k_sets = []
     for extra in range(min(k_card_max - 1, k_span_max) + 1):
         for rest in combinations(range(1, k_span_max + 1), extra):
             k_sets.append((0,) + rest)
     for K in sorted(k_sets):
+        total: dict = {}  # residue of the window combination for (K, p)
         for p in range(1, p_max + 1):
-            total = sum((residues[s] * c for s, c in window_combo(K, p).items()), P_ZERO)
+            for k in K:
+                for e, c in residues[k + p - 1].items():
+                    total[e] = total.get(e, 0) + c
+            g, part = _split(total)
+            hit = first_l.get(part)
             top = l_window if l_window is not None else max(K) + p + m
-            for l in range(top + 1):
-                r = residues[l]
-                if r.degree != total.degree:
-                    continue
-                N = Fraction(total.coeffs[-1], r.coeffs[-1])
-                if r * N == total:
-                    solutions.append(PatternSolution(m, K, p, N, l))
-                    break  # at most one l can match a fixed (K, p)
+            if hit is not None and hit[0] <= top:
+                solutions.append(PatternSolution(m, K, p, Fraction(g, hit[1]), hit[0]))
     solutions.sort(key=lambda s: (s.p, s.K, s.l))
     return solutions
 
@@ -102,6 +132,8 @@ def search(m: int, p_max: int, k_card_max: int, k_span_max: int,
 def verify_solution(sol: PatternSolution, n_count: int = 50) -> bool:
     """Independent numeric confirmation over n = 0 .. n_count, straight from
     the memoized sequence (no kernel reasoning)."""
+    if n_count < 0:
+        raise ValueError("n_count must be >= 0: an empty range proves nothing")
     h = handle(make_mstep(sol.m))
     for n in range(n_count + 1):
         lhs = sum(h.term(n + j + k) for k in sol.K for j in range(sol.p))
