@@ -326,6 +326,17 @@ class CaseDerivation:
     cross_checked: bool = field(default=False)
 
 
+def stacking_case(m: int, p: int) -> tuple | None:
+    """(case, ell) of the first stacking case that fits (m, p), else None."""
+    if m % p == 0:
+        return "p|m", m // p
+    if (m + 1) % p == 0:
+        return "p|m+1", (m + 1) // p
+    if p == 2 * m + 2:
+        return "p=2m+2", 1
+    return None
+
+
 def derive_case(m: int, p: int) -> CaseDerivation:
     """Reproduce the stacking derivation for conv(F^(m), F^(m+p)).
 
@@ -336,19 +347,16 @@ def derive_case(m: int, p: int) -> CaseDerivation:
     """
     if m < 2 or p < 1:
         raise CaseNotApplicable(f"need m >= 2 and p >= 1, got (m, p) = ({m}, {p})")
-    lo, hi = mstep_name(m), mstep_name(m + p)
-    if m % p == 0:
-        case, ell = "p|m", m // p
-        ident, closed = _derive_div_case(m, p, lo, hi, ell, doubled=False)
-    elif (m + 1) % p == 0:
-        case, ell = "p|m+1", (m + 1) // p
-        ident, closed = _derive_div_case(m, p, lo, hi, ell, doubled=True)
-    elif p == 2 * m + 2:
-        case, ell = "p=2m+2", 1
-        ident, closed = _derive_quadruple_case(m, lo, hi)
-    else:
+    found = stacking_case(m, p)
+    if found is None:
         raise CaseNotApplicable(
             f"(m, p) = ({m}, {p}) fits none of p|m, p|m+1, p=2m+2")
+    case, ell = found
+    lo, hi = mstep_name(m), mstep_name(m + p)
+    if case == "p=2m+2":
+        ident, closed = _derive_quadruple_case(m, lo, hi)
+    else:
+        ident, closed = _derive_div_case(m, p, lo, hi, ell, doubled=case == "p|m+1")
     rep = verify_numeric(ident, 80)
     if not rep.passed:
         raise AssertionError(f"derived identity fails: {ident.id}: {rep.first_failure}")
@@ -446,13 +454,8 @@ def _derive_quadruple_case(m, lo, hi):
 def cell_label(m: int, p: int) -> str:
     if p == 1:
         return "p=1"
-    if m % p == 0:
-        return "p|m"
-    if (m + 1) % p == 0:
-        return "p|m+1"
-    if p == 2 * m + 2:
-        return "p=2m+2"
-    return "general-solver"
+    found = stacking_case(m, p)
+    return found[0] if found else "general-solver"
 
 
 def table(max_sum: int = 9, oracle_n: int = 100) -> list:

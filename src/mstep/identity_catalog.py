@@ -13,8 +13,8 @@ which the equality is claimed.  Entries come in two kinds:
 Entries carrying a ``negative`` block are documented misprints: the
 verifier confirms that they fail exactly as recorded.
 
-The catalog itself is a JSON data file (see :func:`load_manifest` and
-:mod:`mstep.manifest_build` which generates it).
+:func:`load_manifest` returns the catalog that :mod:`mstep.manifest_build`
+builds in process, or reads one from a JSON file in the format it exports.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
 from . import expressions as ex
 from .sequences import resolve
@@ -243,6 +242,10 @@ def _check_gf_tree(tree) -> None:
             _check_gf_tree(sub)
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def identity_from_json(entry: dict) -> Identity:
     kind = entry["kind"]
     if kind == "gf":
@@ -253,43 +256,57 @@ def identity_from_json(entry: dict) -> Identity:
         lhs, rhs = ex.expr_from_json(entry["lhs"]), ex.expr_from_json(entry["rhs"])
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
+    id_, n0, negative = entry["id"], entry.get("n0", 0), entry.get("negative")
+    if not isinstance(id_, str):
+        raise ValueError(f"id is not a string: {id_!r}")
+    if not _is_index(n0):
+        raise ValueError(f"n0 is not an int >= 0: {n0!r}")
+    if negative is not None:
+        fail = negative["first_fail"]
+        if not (_is_index(fail["n"]) and isinstance(fail["lhs"], str)
+                and isinstance(fail["rhs"], str)):
+            raise ValueError(f"first_fail needs an int n >= 0 and str lhs, rhs: {fail!r}")
     return Identity(
-        id=entry["id"],
+        id=id_,
         kind=kind,
         lhs=lhs,
         rhs=rhs,
-        n0=entry.get("n0", 0),
+        n0=n0,
         params=entry.get("params", {}),
         paper_quote=entry.get("paper_quote", ""),
-        negative=entry.get("negative"),
+        negative=negative,
     )
 
 
 def load_manifest(path=None) -> list:
-    """Load the identity catalog (packaged data file by default).
+    """The identity catalog: built in process by default, else read from
+    the JSON file at ``path``.
 
-    The whole file is validated before anything is verified: a malformed
-    document or entry raises ValueError naming the entry.
+    A file is validated whole before anything is verified: a malformed
+    document or entry raises ValueError naming the entry.  Either way, a
+    repeated id raises ValueError.
     """
     if path is None:
-        text = resources.files("mstep").joinpath("data/manifest.json").read_text()
+        from .manifest_build import build_identities  # that module imports this one
+
+        idents = build_identities()
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    entries = doc.get("identities") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError("manifest must be a JSON object with an 'identities' list")
-    idents = []
-    for k, entry in enumerate(entries):
-        try:
-            idents.append(identity_from_json(entry))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            name = entry.get("id") if isinstance(entry, dict) else None
-            raise ValueError(f"manifest entry {k} ({name}) is malformed: {exc!r}") from exc
+            doc = json.load(fh)
+        entries = doc.get("identities") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("manifest must be a JSON object with an 'identities' list")
+        idents = []
+        for k, entry in enumerate(entries):
+            try:
+                idents.append(identity_from_json(entry))
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                name = entry.get("id") if isinstance(entry, dict) else None
+                raise ValueError(f"manifest entry {k} ({name}) is malformed: {exc!r}") from exc
     ids = [i.id for i in idents]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate identity ids in manifest")
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(f"duplicate identity ids in manifest: {dupes}")
     return idents
 
 

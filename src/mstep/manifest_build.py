@@ -1,24 +1,27 @@
-"""Generator for the identity manifest (data/manifest.json).
+"""The identity catalog, built in process.
 
-Every displayed identity of the catalog is encoded here as an expression
-tree, instantiated over its parameter range, and written to the packaged
-JSON data file.  Two entries are documented misprints and carry a
-``negative`` block recording exactly how they fail; the partial-sum and
-2^j-vs-TQ families additionally carry the corrected index forms that do
-verify (anchors in ``paper_quote`` give the original formula snippets).
+Every displayed identity of the paper is encoded here as an expression
+tree and instantiated over its parameter range; :func:`build_identities`
+is the one source of the default catalog that
+:func:`mstep.identity_catalog.load_manifest` returns.  Two entries are
+documented misprints and carry a ``negative`` block recording exactly how
+they fail; the partial-sum and 2^j-vs-TQ families additionally carry the
+corrected index forms that do verify (anchors in ``paper_quote`` give the
+original formula snippets).
 
-Run ``python -m mstep.manifest_build`` to regenerate the data file.  The
-builder numerically smoke-tests every entry before writing, so an encoding
-mistake fails fast at build time rather than at verification time.
+``python -m mstep.manifest_build > catalog.json`` exports the catalog as
+JSON, the format that ``mstep verify --manifest`` and ``gfcheck
+--manifest`` read.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .expressions import add, alt, conv, const, geo2, mul, npoly, scale, sub, term
-from .identity_catalog import Identity, identity_to_json, verdict
+from .identity_catalog import Identity, identity_to_json
 from .sequences import mstep_name as ms
 
 J = "jacobsthal"
@@ -643,43 +646,16 @@ def build_identities() -> list:
     _reduction_entries(out)
     _case_study_entries(out)
     _gf_entries(out)
-    ids = [i.id for i in out]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise AssertionError(f"duplicate identity ids: {dupes}")
     return out
-
-
-def smoke_check(idents, n_max: int = 60) -> None:
-    """Fail fast on any encoding mistake before writing the data file."""
-    for ident in idents:
-        ok, rep = verdict(ident, n_max)
-        if not ok:
-            raise AssertionError(f"entry fails its check: {ident.id}: {rep.first_failure}")
 
 
 def manifest_document(idents) -> dict:
     return {"version": 1, "identities": [identity_to_json(i) for i in idents]}
 
 
-def write_manifest(path: str) -> int:
-    idents = build_identities()
-    smoke_check(idents)
-    doc = manifest_document(idents)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    return len(idents)
-
-
 def main() -> None:
-    import os
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    target = os.path.join(here, "data", "manifest.json")
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    count = write_manifest(target)
-    print(f"wrote {count} identities to {target}")
+    json.dump(manifest_document(build_identities()), sys.stdout, indent=1)
+    sys.stdout.write("\n")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -247,10 +248,10 @@ def test_negative_l_window_is_a_json_error(capsys):
     assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
-def _verify_manifest(tmp_path, capsys, doc):
+def _verify_manifest(tmp_path, capsys, doc, *flags):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out = run(capsys, "verify", "--all", "--manifest", str(path))
+    code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
     return code, json.loads(out)
 
 
@@ -268,17 +269,41 @@ def test_manifest_gf_node_without_operand_is_a_json_error(tmp_path, capsys):
     assert code == 2 and doc["error"] == "ValueError" and "bad_gf" in doc["detail"]
 
 
-@pytest.mark.parametrize("kind, lhs", [
-    ("gf", ["poly", 5]),
-    ("gf", ["poly", [[1]]]),
-    ("gf", ["seqgf", 7]),
-    ("seq", ["conv", [], 0]),
-    ("seq", ["term", 7, 0]),
+_FAIL = {"n": 5, "lhs": "5", "rhs": "6"}
+
+
+# Each case sets one leaf or scalar field of an otherwise valid entry.
+@pytest.mark.parametrize("kind, lhs, fields", [
+    pytest.param("gf", ["poly", 5], {}, id="gf-lhs0"),
+    pytest.param("gf", ["poly", [[1]]], {}, id="gf-lhs1"),
+    pytest.param("gf", ["seqgf", 7], {}, id="gf-lhs2"),
+    pytest.param("seq", ["conv", [], 0], {}, id="seq-lhs3"),
+    pytest.param("seq", ["term", 7, 0], {}, id="seq-lhs4"),
+    pytest.param("seq", None, {"id": ["bad_leaf"]}, id="id-list"),
+    pytest.param("seq", None, {"n0": "3"}, id="n0-str"),
+    pytest.param("seq", None, {"n0": 1.5}, id="n0-float"),
+    pytest.param("seq", None, {"n0": -5}, id="n0-negative"),
+    pytest.param("seq", None, {"n0": True}, id="n0-bool"),
+    pytest.param("seq", None, {"negative": {"note": "x"}}, id="negative-no-first_fail"),
+    pytest.param("seq", None, {"negative": {}}, id="negative-empty"),
+    pytest.param("seq", None, {"negative": 5}, id="negative-int"),
+    pytest.param("seq", None, {"negative": {"first_fail": 5}}, id="first_fail-int"),
+    pytest.param("seq", None, {"negative": {"first_fail": {"n": 5}}}, id="first_fail-n-only"),
+    pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "n": "5"}}},
+                 id="first_fail-n-str"),
+    pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "n": True}}},
+                 id="first_fail-n-bool"),
+    pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "lhs": 5}}},
+                 id="first_fail-lhs-int"),
+    pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "rhs": None}}},
+                 id="first_fail-rhs-null"),
 ])
-def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs):
+def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs, fields):
     rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]
-    entry = {"id": "bad_leaf", "kind": kind, "lhs": lhs, "rhs": rhs, "n0": 0}
+    entry = {"id": "bad_leaf", "kind": kind, "lhs": lhs or rhs, "rhs": rhs, "n0": 0, **fields}
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]}, "--symbolic")
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
 
 
@@ -292,3 +317,29 @@ def test_manifest_order_above_the_cap_is_a_json_error(tmp_path, capsys):
 def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):
     code, doc = _verify_manifest(tmp_path, capsys, [1, 2])
     assert code == 2 and doc["error"] == "ValueError" and "identities" in doc["detail"]
+
+
+def test_manifest_repeated_id_is_a_json_error(tmp_path, capsys):
+    entry = {"id": "twice", "kind": "seq", "lhs": ["term", "F", 0],
+             "rhs": ["term", "F", 0], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry, entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "twice" in doc["detail"]
+
+
+def test_exported_catalog_reads_back_byte_identical(tmp_path, capsys, monkeypatch):
+    from mstep import identity_catalog
+    from mstep.manifest_build import build_identities, manifest_document
+
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(manifest_document(build_identities()), indent=1))
+    for flags in ([], ["--symbolic"], ["--format", "json"], ["--format", "json", "--symbolic"]):
+        built = run(capsys, "verify", "--all", "--max-n", "200", *flags)
+        assert built[0] == 0
+        assert run(capsys, "verify", "--all", "--max-n", "200", "--manifest", str(path),
+                   *flags) == built
+    # gfcheck loads a whole catalog per id: load each source once.
+    monkeypatch.setattr(identity_catalog, "load_manifest",
+                        functools.lru_cache(identity_catalog.load_manifest))
+    for ident in build_identities():
+        built = run(capsys, "gfcheck", "--id", ident.id)
+        assert run(capsys, "gfcheck", "--id", ident.id, "--manifest", str(path)) == built

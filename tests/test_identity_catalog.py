@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from mstep import expressions as ex
+from mstep import manifest_build
 from mstep.identity_catalog import (
     catalog_index,
+    identity_from_json,
+    identity_to_json,
     kernel_check,
     load_manifest,
     negative_as_documented,
@@ -32,11 +36,18 @@ def test_manifest_loads_and_is_rich(catalog):
     assert len({i.id for i in catalog}) == len(catalog)
 
 
-def test_manifest_file_matches_builder(catalog):
-    rebuilt = manifest_document(build_identities())
-    from mstep.identity_catalog import identity_to_json
+def test_json_round_trip_keeps_every_built_entry(catalog):
+    for ident in catalog:
+        assert identity_from_json(identity_to_json(ident)) == ident
 
-    assert [identity_to_json(i) for i in catalog] == rebuilt["identities"]
+
+def test_exported_catalog_loads_back_as_built(tmp_path, capsys):
+    manifest_build.main()
+    out = capsys.readouterr().out
+    assert out == json.dumps(manifest_document(build_identities()), indent=1) + "\n"
+    path = tmp_path / "catalog.json"
+    path.write_text(out)
+    assert load_manifest(str(path)) == build_identities()
 
 
 def test_tf_convolution_passes_to_200(by_id):
