@@ -20,7 +20,6 @@ from .closed_form_solver import (
     RepeatedFactor,
     derive_case,
     equivalent,
-    solve_conv2,
     solve_conv_multi,
     table,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "NonCoprime",
     "RepeatedFactor",
     "CaseNotApplicable",
-    "solve_conv2",
     "solve_conv_multi",
     "equivalent",
     "derive_case",

@@ -27,7 +27,7 @@ from .series_algebra import NotAPowerSeries, agrees_from
 # Python 3.11: `seq --name F --to 10000` 0.5 s, `conv` with 12 factors
 # and `--n 1000` 2.7 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
 # `table --max 14 --oracle-n 500` 4.5 s, `verify --all --max-n 2000`
-# 2.8 s (193 MB), `search` at the four search caps 0.2-0.5 s for each of
+# 2.9 s (69 MB), `search` at the four search caps 0.2-0.5 s for each of
 # m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
 # sequences.MAX_MSTEP_ORDER.)
 MAX_SEQ_INDEX = 10_000  # seq --to

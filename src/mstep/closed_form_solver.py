@@ -1,7 +1,7 @@
 """Closed forms for convolutions of linear-recurrence sequences.
 
-``solve_conv2`` / ``solve_conv_multi`` take any ``RecurrenceSpec`` values
-(or registered names) whose GF denominators are pairwise coprime.  The
+``solve_conv_multi`` takes any ``RecurrenceSpec`` values (or registered
+names) whose GF denominators are pairwise coprime.  The
 product GF N/D is divided once, N = Q*D + R; R/D splits over the factors'
 denominators D_i with one Bezout inverse each, and each partial fraction
 A(x)/D_i(x) becomes rational-coefficient shifts of sequence i:  for a
@@ -101,11 +101,7 @@ class ClosedForm:
 
     def _denominator(self) -> int:
         """Least common denominator of the part coefficients."""
-        denom = 1
-        for _, combo in self.parts:
-            for c in combo.values():
-                denom = math.lcm(denom, c.denominator)
-        return denom
+        return math.lcm(*(c.denominator for _, combo in self.parts for c in combo.values()))
 
     def gf(self) -> RatFun:
         """Generating function rebuilt from the printed parts and corrections,
@@ -254,11 +250,6 @@ def solve_conv_multi(specs) -> ClosedForm:
     if not cf.gf_equal:
         raise AssertionError("internal error: reconstruction does not match product GF")
     return cf
-
-
-def solve_conv2(a, b) -> ClosedForm:
-    """Closed form for sum_j a_j b_{n-j}; requires coprime GF denominators."""
-    return solve_conv_multi([a, b])
 
 
 def _fraction_to_shifts(g: RatFun, a: Poly):
@@ -471,7 +462,7 @@ def table(max_sum: int = 9, oracle_n: int = 100) -> list:
     cells = []
     for m in range(2, max_sum - 1 + 1):
         for p in range(1, max_sum - m + 1):
-            cf = solve_conv2(make_mstep(m), make_mstep(m + p))
+            cf = solve_conv_multi([make_mstep(m), make_mstep(m + p)])
             oracle_ok = cf.check_oracle(oracle_n)
             label = cell_label(m, p)
             case_equivalent = None

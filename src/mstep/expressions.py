@@ -18,7 +18,8 @@ Node kinds
 
 Evaluation is exact.  ``evaluate_range`` is the one evaluator: it
 tabulates a whole prefix of values column by column and turns ConvAtoms
-into cached convolution tables; ``evaluate(expr, n)`` is a view of it.
+into memoised convolution tables (columns are not memoised);
+``evaluate(expr, n)`` is a view of it with a memo of the root column.
 A table multiplies in each further kernel through the denominator D of
 the kernel's generating function (D = 1 when it does not compile): with
 E = D*kernel, which has finite support when D is right, the table is
@@ -130,6 +131,8 @@ def const(value) -> Const:
 
 
 def add(*terms) -> SeqExpr:
+    if not terms:
+        raise ValueError("a sum needs at least one term")
     flat = []
     for t in terms:
         if isinstance(t, Sum):
@@ -146,6 +149,8 @@ def sub(a: SeqExpr, b: SeqExpr) -> SeqExpr:
 
 
 def mul(*factors) -> SeqExpr:
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     flat = []
     for f in factors:
         if isinstance(f, Product):
@@ -177,20 +182,21 @@ def conv(*kernels, offset: int = 0) -> ConvAtom:
 def evaluate(expr: SeqExpr, n: int):
     """Exact value at index n >= 0: an int when integral, else a Fraction.
 
-    A view of :func:`evaluate_range`, the one evaluator of expression trees.
-    A cached column too short for n is at least doubled, so evaluating
-    n = 0, 1, 2, ... in turn costs linear time, not quadratic.
+    A view of :func:`evaluate_range` that memoises the root column in
+    ``_RANGE_CACHE``; a column too short for n is at least doubled, so
+    evaluating n = 0, 1, 2, ... in turn costs linear time, not quadratic.
     """
     if n < 0:
         raise ValueError(f"index {n} is negative")
     cached = _RANGE_CACHE.get(expr, ())
     if len(cached) <= n:
         cached = evaluate_range(expr, max(n + 1, 2 * len(cached)))
+        _RANGE_CACHE[expr] = cached
     return cached[n]
 
 
-_RANGE_CACHE: dict = {}
-_CONV_CACHE: dict = {}
+_RANGE_CACHE: dict = {}  # root columns of pointwise evaluate
+_CONV_CACHE: dict = {}  # convolution tables, shared across trees
 
 
 def clear_caches() -> None:
@@ -199,15 +205,7 @@ def clear_caches() -> None:
 
 
 def evaluate_range(expr: SeqExpr, length: int) -> list:
-    """Values at n = 0 .. length-1 as a list; convolutions are tabulated."""
-    cached = _RANGE_CACHE.get(expr)
-    if cached is None or len(cached) < length:
-        cached = _compute_range(expr, length)
-        _RANGE_CACHE[expr] = cached
-    return cached[:length]
-
-
-def _compute_range(expr: SeqExpr, length: int) -> list:
+    """Values at n = 0 .. length-1 as a new list; only conv tables are memoised."""
     if isinstance(expr, Term):
         h = handle(expr.seq)
         s = expr.shift
@@ -221,7 +219,8 @@ def _compute_range(expr: SeqExpr, length: int) -> list:
     if isinstance(expr, Alt):
         return [1 if (n + expr.offset) % 2 == 0 else -1 for n in range(length)]
     if isinstance(expr, Geo2):
-        return [_coeff(Fraction(2) ** (n + expr.offset)) for n in range(length)]
+        ks = range(expr.offset, expr.offset + length)
+        return [1 << k if k >= 0 else Fraction(1, 1 << -k) for k in ks]
     if isinstance(expr, Const):
         return [expr.value] * length
     if isinstance(expr, Sum):
@@ -361,7 +360,7 @@ def _compile_product(expr: Product):
     scalar = Fraction(1)
     alt_count = 0
     alt_offset = 0
-    npoly_coeffs = None
+    n_poly = None
     bases = []
     for f in expr.factors:
         if isinstance(f, Const):
@@ -370,7 +369,7 @@ def _compile_product(expr: Product):
             alt_count += 1
             alt_offset += f.offset
         elif isinstance(f, NPoly):
-            npoly_coeffs = f.coeffs if npoly_coeffs is None else _npoly_mul(npoly_coeffs, f.coeffs)
+            n_poly = Poly(f.coeffs) if n_poly is None else n_poly * Poly(f.coeffs)
         else:
             bases.append(f)
     if len(bases) > 1:
@@ -385,19 +384,11 @@ def _compile_product(expr: Product):
         g = g.substitute_neg()
     if alt_offset % 2 == 1:
         scalar = -scalar
-    if npoly_coeffs is not None:
-        g = _apply_npoly(npoly_coeffs, g)
+    if n_poly is not None:
+        g = _apply_npoly(n_poly.coeffs, g)
     if scalar != 1:
         g = RatFun(Poly.const(scalar)) * g
     return g
-
-
-def _npoly_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def _compile_conv(expr: ConvAtom):
@@ -446,25 +437,34 @@ def expr_to_json(expr: SeqExpr):
     raise TypeError(f"not a SeqExpr: {expr!r}")
 
 
+def _int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"shift or offset is not an int: {value!r}")
+    return value
+
+
 def expr_from_json(node) -> SeqExpr:
     tag = node[0]
     if tag == "term":
         resolve(node[1])  # an unknown name fails at load, not at evaluation
-        return Term(node[1], int(node[2]))
+        return Term(node[1], _int(node[2]))
     if tag == "npoly":
+        if not isinstance(node[1], list):
+            raise ValueError(f"npoly operand is not a coefficient list: {node[1]!r}")
         return npoly(*node[1])
     if tag == "alt":
-        return Alt(int(node[1]))
+        return Alt(_int(node[1]))
     if tag == "geo2":
-        return Geo2(int(node[1]))
+        return Geo2(_int(node[1]))
     if tag == "const":
         return const(node[1])
-    if tag == "sum":
-        return Sum(tuple(expr_from_json(t) for t in node[1:]))
-    if tag == "product":
-        return Product(tuple(expr_from_json(t) for t in node[1:]))
+    if tag in ("sum", "product"):
+        if len(node) < 2:
+            raise ValueError(f"{tag} needs at least one operand")
+        parts = tuple(expr_from_json(t) for t in node[1:])
+        return Sum(parts) if tag == "sum" else Product(parts)
     if tag == "scale":
         return Scale(_coeff(node[1]), expr_from_json(node[2]))
     if tag == "conv":
-        return conv(*(expr_from_json(k) for k in node[1]), offset=int(node[2]))
+        return conv(*(expr_from_json(k) for k in node[1]), offset=_int(node[2]))
     raise ValueError(f"unknown expression tag: {tag!r}")

@@ -94,7 +94,10 @@ def identity_gfs(identity: Identity) -> tuple:
     """Both sides as canonical RatFuns; a side outside the rational fragment
     comes back as an ``expressions.NotCompilable`` value."""
     if identity.kind == "gf":
-        return compile_gf(identity.lhs), compile_gf(identity.rhs)
+        try:
+            return compile_gf(identity.lhs), compile_gf(identity.rhs)
+        except ValueError as exc:
+            raise ValueError(f"{identity.id}: {exc}") from exc
     return ex.gf_of_expr(identity.lhs), ex.gf_of_expr(identity.rhs)
 
 
@@ -169,7 +172,8 @@ def compile_gf(tree) -> RatFun:
     """Compile a generating-function tree to a canonical RatFun.
 
     Grammar: ["seqgf", name], ["poly", [coeffs...]], ["add"|"mul", ...],
-    ["sub"|"div", a, b], ["neg", a], ["subneg", a] (x -> -x).
+    ["sub"|"div", a, b], ["neg", a], ["subneg", a] (x -> -x).  A divisor
+    that compiles to zero raises ValueError.
     """
     tag = tree[0]
     if tag == "seqgf":
@@ -189,7 +193,10 @@ def compile_gf(tree) -> RatFun:
     if tag == "sub":
         return compile_gf(tree[1]) - compile_gf(tree[2])
     if tag == "div":
-        return compile_gf(tree[1]) / compile_gf(tree[2])
+        num, den = compile_gf(tree[1]), compile_gf(tree[2])
+        if den.is_zero():
+            raise ValueError(f"gf divisor {tree[2]!r} is zero")
+        return num / den
     if tag == "neg":
         return -compile_gf(tree[1])
     if tag == "subneg":

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from mstep import expressions as ex
 from mstep.cli import main as cli_main
-from mstep.closed_form_solver import solve_conv2, solve_conv_multi, equivalent, table
+from mstep.closed_form_solver import solve_conv_multi, equivalent, table
 from mstep.convolution_oracle import (
     REGISTERED_TUPLES,
     conv2,
@@ -115,7 +115,7 @@ def test_solver_matches_known_closed_forms():
             ex.scale(-1, T("Q", 3)), ex.scale(-1, T("Q", 1))),
     }
     for (a, b), ref in pair_refs.items():
-        cf = solve_conv2(resolve(a), resolve(b))
+        cf = solve_conv_multi([resolve(a), resolve(b)])
         assert equivalent(cf, ref, 0), (a, b)
     multi_refs = {
         ("F", "T", "Q"): ex.add(
@@ -157,7 +157,7 @@ def test_table_grid_resolves_every_cell():
         assert labels[mp]["label"] == "general-solver"
     assert labels[(2, 1)]["label"] == "p=1"
     # a previously open cell beyond the grid bound, solved the same way
-    extra = solve_conv2(make_mstep(4), make_mstep(10))
+    extra = solve_conv_multi([make_mstep(4), make_mstep(10)])
     assert extra.gf_equal and extra.check_oracle(100)
     assert cli_main(["table", "--max", "9"]) == 0
     print("PASS table-grid: 28 cells solved, GF-verified, oracle-checked to "

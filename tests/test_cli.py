@@ -279,6 +279,15 @@ _FAIL = {"n": 5, "lhs": "5", "rhs": "6"}
     pytest.param("gf", ["seqgf", 7], {}, id="gf-lhs2"),
     pytest.param("seq", ["conv", [], 0], {}, id="seq-lhs3"),
     pytest.param("seq", ["term", 7, 0], {}, id="seq-lhs4"),
+    pytest.param("seq", ["sum"], {}, id="sum-empty"),
+    pytest.param("seq", ["product"], {}, id="product-empty"),
+    pytest.param("seq", ["term", "F", 1.5], {}, id="term-shift-float"),
+    pytest.param("seq", ["term", "F", True], {}, id="term-shift-bool"),
+    pytest.param("seq", ["term", "F", "1"], {}, id="term-shift-str"),
+    pytest.param("seq", ["alt", 1.5], {}, id="alt-offset-float"),
+    pytest.param("seq", ["geo2", True], {}, id="geo2-offset-bool"),
+    pytest.param("seq", ["conv", [["term", "F", 0]], 1.5], {}, id="conv-offset-float"),
+    pytest.param("seq", ["npoly", "12"], {}, id="npoly-str"),
     pytest.param("seq", None, {"id": ["bad_leaf"]}, id="id-list"),
     pytest.param("seq", None, {"n0": "3"}, id="n0-str"),
     pytest.param("seq", None, {"n0": 1.5}, id="n0-float"),
@@ -305,6 +314,21 @@ def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs, fi
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]}, "--symbolic")
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
+
+
+@pytest.mark.parametrize("divisor", [
+    ["sub", ["seqgf", "F"], ["seqgf", "F"]],
+    ["poly", ["0"]],
+])
+def test_manifest_zero_divisor_is_a_json_error(tmp_path, capsys, divisor):
+    entry = {"id": "zero_div", "kind": "gf", "lhs": ["div", ["seqgf", "F"], divisor],
+             "rhs": ["seqgf", "F"], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError" and "zero_div" in doc["detail"]
+    code, out = run(capsys, "gfcheck", "--id", "zero_div",
+                    "--manifest", str(tmp_path / "bad.json"))
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError" and "zero_div" in doc["detail"]
 
 
 def test_manifest_order_above_the_cap_is_a_json_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from mstep.closed_form_solver import (
     cell_label,
     derive_case,
     equivalent,
-    solve_conv2,
     solve_conv_multi,
     table,
 )
@@ -25,7 +24,7 @@ def reference_fq():
 
 
 def test_solve_fq_matches_closed_form():
-    cf = solve_conv2(resolve("F"), resolve("Q"))
+    cf = solve_conv_multi([resolve("F"), resolve("Q")])
     assert cf.gf_equal
     assert equivalent(cf, reference_fq(), 0)
     assert cf.evaluate(4) == 5
@@ -33,7 +32,7 @@ def test_solve_fq_matches_closed_form():
 
 
 def test_solve_f_hexanacci():
-    cf = solve_conv2(resolve("F"), resolve("hexanacci"))
+    cf = solve_conv_multi([resolve("F"), resolve("hexanacci")])
     ref = ex.scale(Fraction(1, 5), ex.add(
         ex.term("hexanacci", 3), ex.term("hexanacci", 1),
         ex.scale(-1, ex.term("hexanacci")), ex.scale(3, ex.term("hexanacci", -1)),
@@ -44,7 +43,7 @@ def test_solve_f_hexanacci():
 
 
 def test_solve_f_octanacci():
-    cf = solve_conv2(resolve("F"), resolve("octanacci"))
+    cf = solve_conv_multi([resolve("F"), resolve("octanacci")])
     ref = ex.scale(Fraction(1, 4), ex.add(
         ex.term("octanacci", 3), ex.scale(-1, ex.term("octanacci")),
         ex.scale(2, ex.term("octanacci", -1)), ex.term("octanacci", -3),
@@ -54,7 +53,7 @@ def test_solve_f_octanacci():
 
 
 def test_solve_pow2_with_fibonacci():
-    cf = solve_conv2(resolve("pow2"), resolve("F"))
+    cf = solve_conv_multi([resolve("pow2"), resolve("F")])
     ref = ex.sub(ex.term("pow2", 1), ex.term("F", 3))
     assert equivalent(cf, ref, 0)
     assert cf.evaluate(4) == 19
@@ -65,13 +64,13 @@ def test_noncoprime_rejected_with_factor():
     from mstep.series_algebra import Poly
 
     with pytest.raises(NonCoprime) as info:
-        solve_conv2(resolve("pow2"), resolve("jacobsthal"))
+        solve_conv_multi([resolve("pow2"), resolve("jacobsthal")])
     assert info.value.common == Poly((1, -2))
 
 
 def test_repeated_factor_rejected():
     with pytest.raises(RepeatedFactor):
-        solve_conv2(resolve("F"), resolve("F"))
+        solve_conv_multi([resolve("F"), resolve("F")])
 
 
 def test_solve_multi_triple_and_quadruple():
@@ -92,7 +91,7 @@ def test_solve_single_factor_is_identity():
 
 
 def test_equivalent_accepts_recurrence_rewrites():
-    cf = solve_conv2(resolve("F"), resolve("Q"))
+    cf = solve_conv_multi([resolve("F"), resolve("Q")])
     # rewrite Q_{n+1} via the Tetranacci recurrence: still the same function
     rewritten = ex.add(
         ex.term("Q"), ex.term("Q", -1), ex.term("Q", -2), ex.term("Q", -3),
@@ -101,14 +100,14 @@ def test_equivalent_accepts_recurrence_rewrites():
 
 
 def test_equivalent_rejects_perturbation():
-    cf = solve_conv2(resolve("F"), resolve("Q"))
+    cf = solve_conv_multi([resolve("F"), resolve("Q")])
     wrong = ex.add(ex.term("Q", 1), ex.scale(2, ex.term("Q", -1)),
                    ex.scale(-1, ex.term("F", 1)))
     assert not equivalent(cf, wrong, 0)
 
 
 def test_equivalent_rejects_a_noncompilable_reference():
-    cf = solve_conv2(resolve("F"), resolve("Q"))
+    cf = solve_conv_multi([resolve("F"), resolve("Q")])
     with pytest.raises(ValueError, match="does not compile"):
         equivalent(cf, ex.mul(ex.term("F"), ex.term("Q")), 0)
 
@@ -127,7 +126,7 @@ def test_derive_case_hexanacci_tetranacci():
 def test_derive_case_reproduces_shifted_fq_kernel():
     d = derive_case(2, 2)
     assert d.identity.rhs == ex.conv(ex.term("Q"), ex.term("F", 2), offset=-3)
-    cf = solve_conv2(resolve("F"), resolve("Q"))
+    cf = solve_conv_multi([resolve("F"), resolve("Q")])
     assert equivalent(cf, d.closed_expr, 0)
     assert equivalent(cf, reference_fq(), 0)
 
@@ -172,7 +171,7 @@ def test_small_table():
 
 
 def test_closed_form_json_schema():
-    cf = solve_conv2(resolve("F"), resolve("P"))
+    cf = solve_conv_multi([resolve("F"), resolve("P")])
     cf.check_oracle(50)
     doc = cf.to_json()
     assert set(doc) == {"factors", "parts", "corrections", "verified"}

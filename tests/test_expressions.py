@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mstep import expressions as ex
+from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep.sequences import handle
 from mstep.series_algebra import RatFun, gf_of, series_coeffs
@@ -133,7 +134,7 @@ def test_json_roundtrip():
 def test_pointwise_evaluate_extends_the_cache_geometrically(monkeypatch):
     e = ex.conv(ex.term("F"), ex.term("T"), ex.term("Q"))
     ex.clear_caches()
-    real = ex._compute_range
+    real = ex.evaluate_range
     root_calls = []
 
     def counted(expr, length):
@@ -141,7 +142,15 @@ def test_pointwise_evaluate_extends_the_cache_geometrically(monkeypatch):
             root_calls.append(length)
         return real(expr, length)
 
-    monkeypatch.setattr(ex, "_compute_range", counted)
+    monkeypatch.setattr(ex, "evaluate_range", counted)
     values = [ex.evaluate(e, n) for n in range(300)]
     assert values == conv_multi_prefix(["F", "T", "Q"], 299)
     assert len(root_calls) <= 10
+
+
+def test_verify_all_leaves_no_columns_cached(capsys):
+    ex.clear_caches()
+    assert main(["verify", "--all", "--max-n", "200"]) == 0
+    capsys.readouterr()
+    assert ex._RANGE_CACHE == {}
+    assert ex._CONV_CACHE
