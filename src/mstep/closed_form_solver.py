@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
@@ -91,7 +92,7 @@ class ClosedForm:
     oracle_max_n: int = -1
 
     def evaluate(self, n: int):
-        denom = self._denominator()
+        denom = self._denominator
         acc = 0
         for spec, combo in self.parts:
             h = handle(spec)
@@ -99,8 +100,10 @@ class ClosedForm:
                 acc += c.numerator * (denom // c.denominator) * h.term(n + s)
         return Fraction(acc, denom) + self.corrections.get(n, 0)
 
+    @cached_property
     def _denominator(self) -> int:
-        """Least common denominator of the part coefficients."""
+        """Least common denominator of the part coefficients, computed once:
+        ``parts`` is not reassigned after construction."""
         return math.lcm(*(c.denominator for _, combo in self.parts for c in combo.values()))
 
     def gf(self) -> RatFun:
@@ -144,7 +147,7 @@ class ClosedForm:
 
     # -- rendering -----------------------------------------------------------
     def _render(self, symbols, term_fmt, wrap_fmt, corr_fmt) -> str:
-        denom = self._denominator()
+        denom = self._denominator
         pieces = []
         for spec, combo in self.parts:
             name = spec.name

@@ -32,6 +32,9 @@ integral and a Fraction only when it is not, the rule of
 ``gf_of_expr`` compiles a tree to a canonical RatFun where possible;
 expressions outside the rational fragment (e.g. the pointwise product of
 two recurrence sequences) yield a :class:`NotCompilable` value instead.
+Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
+``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs); :func:`clear_caches`
+empties all but the first.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .sequences import handle, resolve
 from .series_algebra import (
     P_ONE,
     Poly,
+    _GFS,
     RatFun,
     _coeff,
     drop_prefix,
@@ -200,8 +204,10 @@ _CONV_CACHE: dict = {}  # convolution tables, shared across trees
 
 
 def clear_caches() -> None:
+    """Empty the column and table memos and the GF memo ``series_algebra._GFS``."""
     _RANGE_CACHE.clear()
     _CONV_CACHE.clear()
+    _GFS.clear()
 
 
 def evaluate_range(expr: SeqExpr, length: int) -> list:
@@ -437,9 +443,20 @@ def expr_to_json(expr: SeqExpr):
     raise TypeError(f"not a SeqExpr: {expr!r}")
 
 
-def _int(value) -> int:
+# Largest |shift| or |offset| expr_from_json accepts (the built-in catalog
+# uses at most 13).  A column of seq_{n+s} for n < N reads N + s terms of up
+# to about 0.7(N + s) bits, so memory grows like (N + s)^2.  At the cap, a
+# manifest of term, geo2, alt and conv entries takes 0.18 s and 19.8 MB
+# under `verify --all --max-n 2000` (18.2 MB at shift 0), 2-vCPU VM.
+MAX_SHIFT = 1_000
+
+
+def _shift(value) -> int:
+    """A term shift or an alt/geo2/conv offset read from JSON, checked."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"shift or offset is not an int: {value!r}")
+    if abs(value) > MAX_SHIFT:
+        raise ValueError(f"shift or offset {value} exceeds the cap {MAX_SHIFT}")
     return value
 
 
@@ -447,15 +464,15 @@ def expr_from_json(node) -> SeqExpr:
     tag = node[0]
     if tag == "term":
         resolve(node[1])  # an unknown name fails at load, not at evaluation
-        return Term(node[1], _int(node[2]))
+        return Term(node[1], _shift(node[2]))
     if tag == "npoly":
         if not isinstance(node[1], list):
             raise ValueError(f"npoly operand is not a coefficient list: {node[1]!r}")
         return npoly(*node[1])
     if tag == "alt":
-        return Alt(_int(node[1]))
+        return Alt(_shift(node[1]))
     if tag == "geo2":
-        return Geo2(_int(node[1]))
+        return Geo2(_shift(node[1]))
     if tag == "const":
         return const(node[1])
     if tag in ("sum", "product"):
@@ -466,5 +483,5 @@ def expr_from_json(node) -> SeqExpr:
     if tag == "scale":
         return Scale(_coeff(node[1]), expr_from_json(node[2]))
     if tag == "conv":
-        return conv(*(expr_from_json(k) for k in node[1]), offset=_int(node[2]))
+        return conv(*(expr_from_json(k) for k in node[1]), offset=_shift(node[2]))
     raise ValueError(f"unknown expression tag: {tag!r}")

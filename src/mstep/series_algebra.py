@@ -20,6 +20,16 @@ Canonical form of a rational function N/D:
 
 With that normalization two RatFun values are equal as mathematical
 functions iff they are equal structurally.
+
+Sums and products reduce the way Henrici reduces fractions (Henrici,
+J. ACM 3, 1956; Knuth, TAOCP Vol. 2, Sec. 4.5.1): a/b + c/d takes
+g = gcd(b, d) (none when b == d) and h = gcd(t, g) for t = a(d/g) + c(b/g),
+giving (t/h) / ((b/g)(d/h)); a/b * c/d cancels gcd(a, d) and gcd(c, b),
+skipping each when one side is constant.  Neither takes the gcd of the
+full cross product, and the result, already in lowest terms, is built by
+the private ``RatFun._coprime``.  ``gf_of`` and ``shifted_gf`` keep each
+GF in ``_GFS``, keyed by (spec, shift), beside ``sequences._HANDLES`` and
+``expressions._CONV_CACHE``; ``expressions.clear_caches`` empties it.
 """
 
 from __future__ import annotations
@@ -296,24 +306,34 @@ class RatFun:
             den = Poly.const(den) if isinstance(den, (int, Fraction)) else Poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        if den.degree > 0 and not num.is_zero():
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        self._store(num, den)
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly) -> "RatFun":
+        """num/den for a pair already in lowest terms (gcd(num, den) = 1,
+        den nonzero): no gcd, only the integral, content and sign steps."""
+        self = object.__new__(cls)
+        self._store(num, den)
+        return self
+
+    def _store(self, num: Poly, den: Poly) -> None:
+        # Clear denominators jointly, then divide out the joint integer
+        # content, signed so that den's lowest coefficient is positive.
         if num.is_zero():
             num, den = P_ZERO, P_ONE
         else:
-            # Clear denominators jointly, divide out the gcd, then the joint
-            # integer content; every step stays in integer arithmetic.
             split = len(num.coeffs)
             cs = _integral(num.coeffs + den.coeffs)
-            num, den = Poly(cs[:split]), Poly(cs[split:])
-            if den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-            c = math.gcd(*num.coeffs, *den.coeffs)
-            if den.coeffs[den.valuation()] < 0:
+            c = math.gcd(*cs)
+            if cs[split + den.valuation()] < 0:
                 c = -c
             if c != 1:
-                num = Poly([x // c for x in num.coeffs])
-                den = Poly([x // c for x in den.coeffs])
+                cs = [x // c for x in cs]
+            num, den = Poly(cs[:split]), Poly(cs[split:])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -337,8 +357,21 @@ class RatFun:
 
     # -- field operations -----------------------------------------------------
     def __add__(self, other):
+        # Henrici: only gcd(b, d) and gcd(t, g) are taken, never the gcd of
+        # the full cross product a*d + c*b over b*d.
         other = _as_ratfun(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            g, bg, dg = b, P_ONE, P_ONE
+        else:
+            g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else P_ONE
+            bg, dg = (b // g, d // g) if g.degree > 0 else (b, d)
+        t = a * dg + c * bg
+        if t and g.degree > 0:
+            h = poly_gcd(t, g)
+            if h.degree > 0:
+                t, d = t // h, d // h
+        return RatFun._coprime(t, bg * d)
 
     __radd__ = __add__
 
@@ -349,11 +382,18 @@ class RatFun:
         return _as_ratfun(other) + (-self)
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._coprime(-self.num, self.den)
 
     def __mul__(self, other):
+        # Cancel across: gcd(a, d) and gcd(c, b), each skipped when one side
+        # is a constant, so the product needs no further gcd.
         other = _as_ratfun(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RatFun._coprime(P_ZERO, P_ONE)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return RatFun._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -361,14 +401,14 @@ class RatFun:
         other = _as_ratfun(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return self * RatFun._coprime(other.den, other.num)
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def substitute_neg(self) -> "RatFun":
-        """f(x) -> f(-x), renormalized."""
-        return RatFun(self.num.substitute_neg(), self.den.substitute_neg())
+        """f(x) -> f(-x); x -> -x keeps num and den coprime."""
+        return RatFun._coprime(self.num.substitute_neg(), self.den.substitute_neg())
 
     def derivative(self) -> "RatFun":
         return RatFun(
@@ -391,6 +431,15 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+def _cancel(p: Poly, q: Poly) -> tuple:
+    """(p/g, q/g) with g = gcd(p, q); no gcd when either is a constant."""
+    if p.degree > 0 and q.degree > 0:
+        g = poly_gcd(p, q)
+        if g.degree > 0:
+            return p // g, q // g
+    return p, q
 
 
 def _as_ratfun(x) -> RatFun:
@@ -448,12 +497,19 @@ def series_divide(num, den: Poly, count: int) -> list:
     return out
 
 
+_GFS: dict = {}  # (spec, shift) -> GF of n -> a_{n+shift}; shift 0 is gf_of
+
+
 def gf_of(spec: RecurrenceSpec) -> RatFun:
-    """Ordinary generating function of a recurrence spec.
+    """Ordinary generating function of a recurrence spec, built once per
+    process and kept in ``_GFS``.
 
     Denominator 1 - sum(c_j x^j); the numerator is determined by the seeds
     so that the series coefficients reproduce the sequence exactly.
     """
+    g = _GFS.get((spec, 0))
+    if g is not None:
+        return g
     den = [1] + [-c for c in spec.coeffs]
     seeds = spec.seeds
     num = []
@@ -463,7 +519,8 @@ def gf_of(spec: RecurrenceSpec) -> RatFun:
             if c and n - j >= 0:
                 acc -= c * seeds[n - j]
         num.append(acc)
-    return RatFun(Poly(num), Poly(den))
+    g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den))
+    return g
 
 
 def drop_prefix(f: RatFun, prefix) -> Poly:
@@ -493,9 +550,13 @@ def combo_gf(spec: RecurrenceSpec, combo: dict) -> RatFun:
 
 
 def shifted_gf(spec: RecurrenceSpec, shift: int) -> RatFun:
-    """Generating function of n -> a_{n+shift} under the one-sided convention.
+    """Generating function of n -> a_{n+shift} under the one-sided convention,
+    built once per (spec, shift) and kept in ``_GFS``.
 
     Nonpositive shifts multiply by x^|shift|; positive shifts subtract the
     lost prefix a_0 .. a_{shift-1} before dividing by x^shift.
     """
-    return combo_gf(spec, {shift: 1})
+    g = _GFS.get((spec, shift))
+    if g is None:
+        g = _GFS[(spec, shift)] = combo_gf(spec, {shift: 1})
+    return g

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mstep.cli import main
+from mstep.expressions import MAX_SHIFT
 
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 # The command that recorded each perfbench/ref/<name>.txt (perfbench/README.md).
@@ -336,6 +337,27 @@ def test_manifest_order_above_the_cap_is_a_json_error(tmp_path, capsys):
              "rhs": ["term", "F", 0], "n0": 0}
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
     assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
+
+
+@pytest.mark.parametrize("node", [
+    lambda s: ["term", "F", s],
+    lambda s: ["alt", s],
+    lambda s: ["geo2", s],
+    lambda s: ["conv", [["term", "F", 0]], s],
+], ids=["term", "alt", "geo2", "conv"])
+def test_manifest_shift_above_the_cap_is_a_json_error(tmp_path, capsys, node):
+    for s in (MAX_SHIFT + 1, -MAX_SHIFT - 1):
+        entry = {"id": "far", "kind": "seq", "lhs": node(s), "rhs": node(0), "n0": 0}
+        code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+        assert code == 2 and doc["error"] == "ValueError"
+        assert "far" in doc["detail"] and "exceeds the cap" in doc["detail"]
+    for s in (MAX_SHIFT, -MAX_SHIFT):
+        entry = {"id": "at_cap", "kind": "seq", "lhs": node(s), "rhs": node(s), "n0": 0}
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"identities": [entry]}))
+        for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
+            code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+            assert code == 0 and f"PASS at_cap ({mode})" in out
 
 
 def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):

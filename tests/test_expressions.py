@@ -6,6 +6,7 @@ from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep.sequences import handle
+from mstep import series_algebra
 from mstep.series_algebra import RatFun, gf_of, series_coeffs
 
 
@@ -154,3 +155,11 @@ def test_verify_all_leaves_no_columns_cached(capsys):
     capsys.readouterr()
     assert ex._RANGE_CACHE == {}
     assert ex._CONV_CACHE
+
+
+def test_clear_caches_empties_the_gf_memo():
+    g = ex.gf_of_expr(ex.term("T", 3))
+    assert series_algebra._GFS
+    ex.clear_caches()
+    assert series_algebra._GFS == {}
+    assert ex.gf_of_expr(ex.term("T", 3)) == g

@@ -1,6 +1,7 @@
 """Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd against a
-naive Euclid over Fractions, uniqueness of the canonical form, and the
-coefficient types (int where integral, Fraction otherwise, never float)."""
+naive Euclid over Fractions, uniqueness of the canonical form, the coefficient
+types (int where integral, Fraction otherwise, never float), Henrici-reduced
+field operations against the full-cross-product reference, and the GF memo."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,19 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstep.series_algebra import Poly, RatFun, bezout, poly_gcd, series_coeffs
+from mstep import expressions as ex
+from mstep import identity_catalog as catalog
+from mstep.sequences import RecurrenceSpec, handle
+from mstep.series_algebra import (
+    Poly,
+    RatFun,
+    _as_ratfun,
+    bezout,
+    gf_of,
+    poly_gcd,
+    series_coeffs,
+    shifted_gf,
+)
 
 props = settings(deadline=None, max_examples=60)
 
@@ -140,3 +153,156 @@ def test_no_float_coefficients(a, b, c, k):
 def test_integer_inputs_stay_integer(a, b):
     for p in (a + b, a * b, a - b, poly_gcd(a, b)):
         assert all(type(x) is int for x in p.coeffs)
+
+
+# -- Henrici arithmetic against the full cross product ---------------------------
+
+
+def reference(num: Poly, den: Poly) -> tuple:
+    """Canonical (num, den) coefficient tuples the long way: one poly_gcd of
+    the whole pair, then integral coefficients, joint content 1 and a positive
+    lowest denominator coefficient."""
+    if num.is_zero():
+        return (), (1,)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    cs = [Fraction(c) for c in num.coeffs + den.coeffs]
+    lcm = math.lcm(*(c.denominator for c in cs))
+    cs = [int(c * lcm) for c in cs]
+    content = math.gcd(*cs)
+    split = len(num.coeffs)
+    if next(c for c in cs[split:] if c) < 0:
+        content = -content
+    cs = [c // content for c in cs]
+    return tuple(cs[:split]), tuple(cs[split:])
+
+
+def ref_ratfun(num: Poly, den: Poly) -> RatFun:
+    """A RatFun holding reference(num, den), built without RatFun's own code."""
+    n, d = reference(num, den)
+    out = object.__new__(RatFun)
+    object.__setattr__(out, "num", Poly(n))
+    object.__setattr__(out, "den", Poly(d))
+    return out
+
+
+def ref_add(f, g):
+    f, g = _as_ratfun(f), _as_ratfun(g)
+    return ref_ratfun(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_sub(f, g):
+    f, g = _as_ratfun(f), _as_ratfun(g)
+    return ref_ratfun(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+def ref_mul(f, g):
+    f, g = _as_ratfun(f), _as_ratfun(g)
+    return ref_ratfun(f.num * g.num, f.den * g.den)
+
+
+def ref_div(f, g):
+    f, g = _as_ratfun(f), _as_ratfun(g)
+    return ref_ratfun(f.num * g.den, f.den * g.num)
+
+
+def canonical(f: RatFun) -> tuple:
+    return f.num.coeffs, f.den.coeffs
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two RatFuns built so that their parts often share a factor: each of
+    a, b, c, d in a/b and c/d may take on one common factor, d may equal b,
+    and small lists give zero and constants."""
+    common = draw(nonzero_polys)
+    a, c = draw(polys), draw(polys)
+    b, d = draw(nonzero_polys), draw(nonzero_polys)
+    a, b, c, d = (p * common if draw(st.booleans()) else p for p in (a, b, c, d))
+    if draw(st.booleans()):
+        d = b
+    return RatFun(a, b), RatFun(c, d)
+
+
+@props
+@given(operand_pairs())
+def test_field_operations_equal_the_cross_product_reference(pair):
+    f, g = pair
+    assert canonical(f + g) == canonical(ref_add(f, g))
+    assert canonical(f - g) == canonical(ref_sub(f, g))
+    assert canonical(f * g) == canonical(ref_mul(f, g))
+    assert canonical(-f) == reference(-f.num, f.den)
+    assert canonical(f.substitute_neg()) == reference(f.num.substitute_neg(),
+                                                      f.den.substitute_neg())
+    if not g.is_zero():
+        assert canonical(f / g) == canonical(ref_div(f, g))
+    for p in (f + g).num, (f * g).den:
+        assert all(type(x) is int for x in p.coeffs)
+
+
+@props
+@given(operand_pairs(), nonzero_scalars, nonzero_polys)
+def test_mixed_operands_equal_the_cross_product_reference(pair, k, p):
+    f, _ = pair
+    for other in (k, p):
+        assert canonical(f + other) == canonical(ref_add(f, other))
+        assert canonical(f - other) == canonical(ref_sub(f, other))
+        assert canonical(f * other) == canonical(ref_mul(f, other))
+        assert canonical(f / other) == canonical(ref_div(f, other))
+    assert canonical(k - f) == canonical(ref_sub(k, f))
+    assert canonical(k * f) == canonical(ref_mul(k, f))
+    if not f.is_zero():
+        assert canonical(k / f) == canonical(ref_div(k, f))
+
+
+_REFERENCE_OPS = {
+    "__add__": ref_add, "__radd__": ref_add, "__sub__": ref_sub,
+    "__rsub__": lambda f, g: ref_sub(g, f), "__mul__": ref_mul, "__rmul__": ref_mul,
+    "__truediv__": ref_div, "__rtruediv__": lambda f, g: ref_div(g, f),
+    "__neg__": lambda f: ref_ratfun(-f.num, f.den),
+    "substitute_neg": lambda f: ref_ratfun(f.num.substitute_neg(), f.den.substitute_neg()),
+}
+
+
+def test_catalog_gfs_equal_the_cross_product_reference(monkeypatch):
+    """Both sides of every catalog entry, as gfcheck prints them."""
+    idents = catalog.load_manifest()
+    with monkeypatch.context() as mp:
+        for name, op in _REFERENCE_OPS.items():
+            mp.setattr(RatFun, name, op)
+        ex.clear_caches()
+        expected = [catalog.identity_gfs(i) for i in idents]
+    ex.clear_caches()
+    for ident, sides in zip(idents, expected):
+        got = catalog.identity_gfs(ident)
+        assert [str(s) for s in got] == [str(s) for s in sides], ident.id
+        for g, e in zip(got, sides):
+            if isinstance(e, RatFun):
+                assert canonical(g) == canonical(e), ident.id
+            else:
+                assert isinstance(g, ex.NotCompilable), ident.id
+
+
+# -- the generating-function memo ------------------------------------------------
+
+
+@st.composite
+def recurrences(draw):
+    order = draw(st.integers(1, 4))
+    lower = draw(st.lists(st.integers(-3, 3), min_size=order - 1, max_size=order - 1))
+    top = draw(st.integers(-3, 3).filter(bool))
+    seeds = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order + 2))
+    return RecurrenceSpec("r", order, (*lower, top), tuple(seeds))
+
+
+@props
+@given(recurrences(), st.integers(-4, 6))
+def test_memoised_gfs_equal_fresh_ones(spec, shift):
+    first = gf_of(spec), shifted_gf(spec, shift)
+    assert gf_of(spec) is first[0] and shifted_gf(spec, shift) is first[1]
+    ex.clear_caches()
+    fresh = gf_of(spec), shifted_gf(spec, shift)
+    assert fresh == first and fresh[0] is not first[0]
+    h = handle(spec)
+    assert series_coeffs(fresh[0], 12) == h.values(12)
+    assert series_coeffs(fresh[1], 12) == [h.term(n + shift) for n in range(12)]
