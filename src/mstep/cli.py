@@ -58,11 +58,13 @@ def _build_parser() -> _Parser:
     p_seq.add_argument("--from", dest="start", type=int, default=0)
     p_seq.add_argument("--to", dest="stop", type=int, required=True)
     p_seq.add_argument("--format", choices=("text", "json"), default="text")
+    p_seq.set_defaults(run=_cmd_seq)
 
     p_conv = sub.add_parser("conv", help="brute-force convolution values 0..n")
     p_conv.add_argument("--factors", required=True, help="comma-separated names")
     p_conv.add_argument("--n", type=int, required=True)
     p_conv.add_argument("--format", choices=("text", "json"), default="text")
+    p_conv.set_defaults(run=_cmd_conv)
 
     p_verify = sub.add_parser("verify", help="verify catalog identities")
     group = p_verify.add_mutually_exclusive_group(required=True)
@@ -72,16 +74,19 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--symbolic", action="store_true")
     p_verify.add_argument("--manifest")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="closed form by partial fractions")
     p_solve.add_argument("--factors", required=True)
     p_solve.add_argument("--format", choices=("text", "json", "latex"), default="json")
     p_solve.add_argument("--oracle-n", type=int, default=100)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_table = sub.add_parser("table", help="solve the two-sequence grid")
     p_table.add_argument("--max", type=int, default=9, help="largest m+p")
     p_table.add_argument("--oracle-n", type=int, default=100)
     p_table.add_argument("--format", choices=("text", "json"), default="text")
+    p_table.set_defaults(run=_cmd_table)
 
     p_search = sub.add_parser("search", help="search window-sum identities")
     p_search.add_argument("--m", type=int, required=True)
@@ -90,10 +95,12 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--max-span", type=int, default=6)
     p_search.add_argument("--l-window", type=int, default=None)
     p_search.add_argument("--format", choices=("text", "json"), default="text")
+    p_search.set_defaults(run=_cmd_search)
 
     p_gf = sub.add_parser("gfcheck", help="canonical GF forms of one identity")
     p_gf.add_argument("--id", required=True)
     p_gf.add_argument("--manifest")
+    p_gf.set_defaults(run=_cmd_gfcheck)
     return parser
 
 
@@ -104,29 +111,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (solver.SolverError, ValueError, KeyError, NotAPowerSeries, OSError) as exc:
         detail = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": type(exc).__name__, "detail": detail}))
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "seq":
-        return _cmd_seq(args)
-    if args.command == "conv":
-        return _cmd_conv(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "search":
-        return _cmd_search(args)
-    if args.command == "gfcheck":
-        return _cmd_gfcheck(args)
-    raise ValueError(f"unknown command {args.command}")
 
 
 def _at_most(value: int, cap: int, what: str) -> None:

@@ -33,8 +33,8 @@ integral and a Fraction only when it is not, the rule of
 expressions outside the rational fragment (e.g. the pointwise product of
 two recurrence sequences) yield a :class:`NotCompilable` value instead.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
-``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs); :func:`clear_caches`
-empties all but the first.
+``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs).  None is bounded;
+:func:`clear_caches` empties all four.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .sequences import handle, resolve
+from .sequences import _HANDLES, handle, resolve
 from .series_algebra import (
     P_ONE,
     Poly,
     _GFS,
     RatFun,
     _coeff,
-    drop_prefix,
-    series_coeffs,
     series_divide,
+    shift_series,
     shifted_gf,
 )
 
@@ -204,10 +203,11 @@ _CONV_CACHE: dict = {}  # convolution tables, shared across trees
 
 
 def clear_caches() -> None:
-    """Empty the column and table memos and the GF memo ``series_algebra._GFS``."""
+    """Empty all four process-wide memos: columns, tables, GFs and terms."""
     _RANGE_CACHE.clear()
     _CONV_CACHE.clear()
     _GFS.clear()
+    _HANDLES.clear()
 
 
 def evaluate_range(expr: SeqExpr, length: int) -> list:
@@ -322,7 +322,7 @@ def _apply_npoly(coeffs: tuple, g: RatFun) -> RatFun:
     acc = RatFun(Poly.const(coeffs[0])) * g if coeffs else RatFun(Poly())
     power = g
     for c in coeffs[1:]:
-        power = RatFun(Poly((0, 1))) * power.derivative()
+        power = shift_series(power.derivative(), -1)
         if c:
             acc = acc + RatFun(Poly.const(c)) * power
     return acc
@@ -410,12 +410,7 @@ def _compile_conv(expr: ConvAtom):
         s = gfs[0]
         for g in gfs[1:]:
             s = s * g
-    c = expr.offset
-    if c == 0:
-        return s
-    if c < 0:
-        return s * RatFun(Poly.monomial(-c))
-    return RatFun(drop_prefix(s, series_coeffs(s, c)), s.den.shift(c))
+    return shift_series(s, expr.offset)
 
 
 # -- JSON serialization ---------------------------------------------------------------
@@ -450,6 +445,11 @@ def expr_to_json(expr: SeqExpr):
 # under `verify --all --max-n 2000` (18.2 MB at shift 0), 2-vCPU VM.
 MAX_SHIFT = 1_000
 
+# Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
+# Evaluation and compilation recurse per level: a `sum` chain 500 deep
+# exhausts Python's recursion limit, 64 stays far below it.
+MAX_DEPTH = 64
+
 
 def _shift(value) -> int:
     """A term shift or an alt/geo2/conv offset read from JSON, checked."""
@@ -460,7 +460,9 @@ def _shift(value) -> int:
     return value
 
 
-def expr_from_json(node) -> SeqExpr:
+def expr_from_json(node, depth: int = 1) -> SeqExpr:
+    if depth > MAX_DEPTH:
+        raise ValueError(f"expression tree deeper than the cap {MAX_DEPTH}")
     tag = node[0]
     if tag == "term":
         resolve(node[1])  # an unknown name fails at load, not at evaluation
@@ -478,10 +480,10 @@ def expr_from_json(node) -> SeqExpr:
     if tag in ("sum", "product"):
         if len(node) < 2:
             raise ValueError(f"{tag} needs at least one operand")
-        parts = tuple(expr_from_json(t) for t in node[1:])
+        parts = tuple(expr_from_json(t, depth + 1) for t in node[1:])
         return Sum(parts) if tag == "sum" else Product(parts)
     if tag == "scale":
-        return Scale(_coeff(node[1]), expr_from_json(node[2]))
+        return Scale(_coeff(node[1]), expr_from_json(node[2], depth + 1))
     if tag == "conv":
-        return conv(*(expr_from_json(k) for k in node[1]), offset=_shift(node[2]))
+        return conv(*(expr_from_json(k, depth + 1) for k in node[1]), offset=_shift(node[2]))
     raise ValueError(f"unknown expression tag: {tag!r}")

@@ -63,6 +63,9 @@ def kernel_check(spec, combo: dict, corrections: dict | None = None, n0: int = 0
     Decided by generating functions, with no numeric window: the GF of the
     shift combination (``combo_gf``) plus the corrections polynomial must be
     zero or a polynomial of degree < n0 (``agrees_from``).
+
+    Library API with no caller in the package, kept because
+    ``perfbench/tracer.py`` traces it by name until the benchmark refresh.
     """
     spec = resolve(spec) if isinstance(spec, str) else spec
     corrections = corrections or {}
@@ -228,10 +231,12 @@ _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None)
              "sub": (2, 2), "div": (2, 2), "neg": (1, 1), "subneg": (1, 1)}
 
 
-def _check_gf_tree(tree) -> None:
+def _check_gf_tree(tree, depth: int = 1) -> None:
     """Raise unless every node has the operand count its tag needs, every
-    ``seqgf`` names a known sequence and every ``poly`` holds a list of
-    numbers."""
+    ``seqgf`` names a known sequence, every ``poly`` holds a list of
+    numbers and the tree is at most ``expressions.MAX_DEPTH`` deep."""
+    if depth > ex.MAX_DEPTH:
+        raise ValueError(f"gf tree deeper than the cap {ex.MAX_DEPTH}")
     if not isinstance(tree, list) or not tree or tree[0] not in _GF_ARITY:
         raise ValueError(f"not a gf tree: {tree!r}")
     low, high = _GF_ARITY[tree[0]]
@@ -246,7 +251,7 @@ def _check_gf_tree(tree) -> None:
             Fraction(c)
     else:
         for sub in tree[1:]:
-            _check_gf_tree(sub)
+            _check_gf_tree(sub, depth + 1)
 
 
 def _is_index(value) -> bool:
@@ -290,8 +295,9 @@ def load_manifest(path=None) -> list:
     the JSON file at ``path``.
 
     A file is validated whole before anything is verified: a malformed
-    document or entry raises ValueError naming the entry.  Either way, a
-    repeated id raises ValueError.
+    document or entry raises ValueError naming the entry, as do numbers
+    such as "1/0" or 1e400 and trees above ``expressions.MAX_DEPTH`` or too
+    deep to parse.  Either way, a repeated id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one
@@ -299,7 +305,10 @@ def load_manifest(path=None) -> list:
         idents = build_identities()
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError("manifest JSON is nested too deeply to parse") from exc
         entries = doc.get("identities") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ValueError("manifest must be a JSON object with an 'identities' list")
@@ -307,7 +316,7 @@ def load_manifest(path=None) -> list:
         for k, entry in enumerate(entries):
             try:
                 idents.append(identity_from_json(entry))
-            except (IndexError, KeyError, TypeError, ValueError) as exc:
+            except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
                 name = entry.get("id") if isinstance(entry, dict) else None
                 raise ValueError(f"manifest entry {k} ({name}) is malformed: {exc!r}") from exc
     ids = [i.id for i in idents]

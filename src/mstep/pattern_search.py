@@ -35,7 +35,6 @@ from itertools import combinations
 from math import gcd
 
 from .sequences import handle, make_mstep
-from .series_algebra import gf_of
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,12 @@ class PatternSolution:
 def _residues(m: int, count: int) -> list:
     """x^s mod chi_m for s = 0 .. count, each a sparse map exponent -> int.
 
-    chi_m, the reversal of the GF denominator, is monic, so x^m reduces to
-    an integer tail and no division is needed."""
-    den = gf_of(make_mstep(m)).den.coeffs
-    tail = {i: -den[m - i] for i in range(m) if den[m - i]}
+    chi_m = x^m - c_1 x^(m-1) - ... - c_m comes from the recurrence
+    coefficients; it is minimal because the GF x/D, D = 1 - c_1 x - ... -
+    c_m x^m, has numerator x and D(0) = 1.  It is monic, so x^m reduces to
+    the integer tail sum c_j x^(m-j) and no division is needed."""
+    cs = make_mstep(m).coeffs
+    tail = {i: cs[m - 1 - i] for i in range(m) if cs[m - 1 - i]}
     residues = [{0: 1}]
     for _ in range(count):
         prev = residues[-1]

@@ -163,6 +163,8 @@ def resolve(name) -> RecurrenceSpec:
     raise KeyError(f"unknown sequence name: {name!r}")
 
 
+# spec -> its SequenceHandle.  Unbounded: every spec resolved stays, with
+# every term extended so far, until expressions.clear_caches() empties it.
 _HANDLES: dict = {}
 
 

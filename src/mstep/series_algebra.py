@@ -27,17 +27,20 @@ g = gcd(b, d) (none when b == d) and h = gcd(t, g) for t = a(d/g) + c(b/g),
 giving (t/h) / ((b/g)(d/h)); a/b * c/d cancels gcd(a, d) and gcd(c, b),
 skipping each when one side is constant.  Neither takes the gcd of the
 full cross product, and the result, already in lowest terms, is built by
-the private ``RatFun._coprime``.  ``gf_of`` and ``shifted_gf`` keep each
-GF in ``_GFS``, keyed by (spec, shift), beside ``sequences._HANDLES`` and
-``expressions._CONV_CACHE``; ``expressions.clear_caches`` empties it.
+the private ``RatFun._coprime``.
+
+Index shifts take no gcd.  For a power series f = N/D (D(0) != 0, so x is
+coprime to D), ``shift_series(f, s)``, the GF of n -> f_{n+s}, is x^|s| N/D
+for s < 0 and (N - P D)/(x^s D) for s > 0, with P = f_0 + ... + f_{s-1}
+x^(s-1); both are in lowest terms since gcd(N - P D, D) = gcd(N, D) = 1.
+The module imports nothing from the package: ``gf_of`` reads a spec's
+``coeffs`` and ``seeds`` only, so it and ``sequences`` are independent.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .sequences import RecurrenceSpec, handle
 
 
 def _coeff(c):
@@ -88,10 +91,6 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly((c,))
-
-    @staticmethod
-    def monomial(k: int, c=1) -> "Poly":
-        return Poly((0,) * k + (c,))
 
     # -- basic structure -------------------------------------------------
     @property
@@ -497,66 +496,54 @@ def series_divide(num, den: Poly, count: int) -> list:
     return out
 
 
-_GFS: dict = {}  # (spec, shift) -> GF of n -> a_{n+shift}; shift 0 is gf_of
+def shift_series(f: RatFun, s: int) -> RatFun:
+    """GF of n -> f_{n+s}, one-sided (f_k = 0 for k < 0), without a gcd;
+    raises NotAPowerSeries when den(0) = 0."""
+    num, den = f.num, f.den
+    if den[0] == 0:
+        raise NotAPowerSeries(f"den(0) = 0 in {den}")
+    if s <= 0:
+        return RatFun._coprime(num.shift(-s), den)
+    num = num - Poly(series_coeffs(f, s)) * den
+    return RatFun._coprime(Poly(num.coeffs[s:]), den)
 
 
-def gf_of(spec: RecurrenceSpec) -> RatFun:
-    """Ordinary generating function of a recurrence spec, built once per
-    process and kept in ``_GFS``.
+# (spec, shift) -> GF of n -> a_{n+shift}; shift 0 is gf_of.  Unbounded:
+# every shift asked for stays until expressions.clear_caches().
+_GFS: dict = {}
 
-    Denominator 1 - sum(c_j x^j); the numerator is determined by the seeds
+
+def gf_of(spec) -> RatFun:
+    """Ordinary generating function of a ``sequences.RecurrenceSpec``,
+    built once per process and kept in ``_GFS``.
+
+    Denominator D = 1 - sum(c_j x^j); numerator (seeds * D) mod x^len(seeds),
     so that the series coefficients reproduce the sequence exactly.
     """
     g = _GFS.get((spec, 0))
-    if g is not None:
-        return g
-    den = [1] + [-c for c in spec.coeffs]
-    seeds = spec.seeds
-    num = []
-    for n, a in enumerate(seeds):
-        acc = a
-        for j, c in enumerate(spec.coeffs, start=1):
-            if c and n - j >= 0:
-                acc -= c * seeds[n - j]
-        num.append(acc)
-    g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den))
+    if g is None:
+        den = Poly([1] + [-c for c in spec.coeffs])
+        num = (Poly(spec.seeds) * den).coeffs[:len(spec.seeds)]
+        g = _GFS[(spec, 0)] = RatFun(Poly(num), den)
     return g
 
 
-def drop_prefix(f: RatFun, prefix) -> Poly:
-    """Numerator, over x^s * f.den, of the one-sided shift n -> f_{n+s}.
-
-    ``prefix`` holds the lost coefficients f_0 .. f_{s-1}; the shift
-    subtracts them times f.den from f.num.  For s <= 0 it is empty.
-    """
-    return f.num - Poly(prefix) * f.den if prefix else f.num
-
-
-def combo_gf(spec: RecurrenceSpec, combo: dict) -> RatFun:
-    """Generating function of n -> sum_s combo[s] * a_{n+s}, one-sided.
-
-    One fraction over x^k * D(x) with k = max(0, max shift), where N/D is
-    the sequence's GF: shift s contributes combo[s] * x^(k-s) * N(x) when
-    s <= 0, and for s > 0 first subtracts the lost prefix a_0 .. a_{s-1}
-    times D(x) from N(x).
-    """
-    g = gf_of(spec)
-    k = max(0, max(combo, default=0))
-    h = handle(spec)
-    num = P_ZERO
-    for s, c in combo.items():
-        num = num + drop_prefix(g, [h.term(j) for j in range(s)]).shift(k - s) * c
-    return RatFun(num, g.den.shift(k))
-
-
-def shifted_gf(spec: RecurrenceSpec, shift: int) -> RatFun:
+def shifted_gf(spec, shift: int) -> RatFun:
     """Generating function of n -> a_{n+shift} under the one-sided convention,
-    built once per (spec, shift) and kept in ``_GFS``.
-
-    Nonpositive shifts multiply by x^|shift|; positive shifts subtract the
-    lost prefix a_0 .. a_{shift-1} before dividing by x^shift.
-    """
+    ``shift_series`` of ``gf_of(spec)``, built once per (spec, shift) and kept
+    in ``_GFS``.  Its denominator is exactly ``gf_of(spec).den``: for an
+    integer spec that denominator is integral with constant term 1, so the
+    shift changes only the numerator."""
     g = _GFS.get((spec, shift))
     if g is None:
-        g = _GFS[(spec, shift)] = combo_gf(spec, {shift: 1})
+        g = _GFS[(spec, shift)] = shift_series(gf_of(spec), shift)
     return g
+
+
+def combo_gf(spec, combo: dict) -> RatFun:
+    """Generating function of n -> sum_s combo[s] * a_{n+s}, one-sided: one
+    sum of the shifted numerators over their common denominator."""
+    num = P_ZERO
+    for s, c in combo.items():
+        num = num + shifted_gf(spec, s).num * c
+    return RatFun(num, gf_of(spec).den)

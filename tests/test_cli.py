@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mstep.cli import main
-from mstep.expressions import MAX_SHIFT
+from mstep.expressions import MAX_DEPTH, MAX_SHIFT
 
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 # The command that recorded each perfbench/ref/<name>.txt (perfbench/README.md).
@@ -358,6 +358,80 @@ def test_manifest_shift_above_the_cap_is_a_json_error(tmp_path, capsys, node):
         for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
             code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
             assert code == 0 and f"PASS at_cap ({mode})" in out
+
+
+def _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, ident):
+    """Both commands that read a manifest exit 2 with the JSON ValueError;
+    returns the three error details."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    details = []
+    for argv in (["verify", "--all"], ["verify", "--all", "--symbolic"],
+                 ["gfcheck", "--id", ident]):
+        code, out = run(capsys, *argv, "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "ValueError", (argv, doc)
+        details.append(doc["detail"])
+    return details
+
+
+def _one_entry(entry) -> str:
+    return json.dumps({"identities": [entry]})
+
+
+# "@" stands for the number under test: "1/0" (a zero denominator) or a JSON
+# 1e400 (infinity after parsing).
+@pytest.mark.parametrize("kind, lhs", [
+    pytest.param("seq", ["const", "@"], id="const"),
+    pytest.param("seq", ["scale", "@", ["term", "F", 0]], id="scale"),
+    pytest.param("seq", ["npoly", ["1", "@"]], id="npoly"),
+    pytest.param("gf", ["poly", ["0", "@"]], id="gf-poly"),
+])
+@pytest.mark.parametrize("number", ['"1/0"', "1e400"])
+def test_manifest_number_that_does_not_convert_is_a_json_error(tmp_path, capsys, kind,
+                                                               lhs, number):
+    rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]
+    text = _one_entry({"id": "bad_number", "kind": kind, "lhs": lhs, "rhs": rhs, "n0": 0})
+    text = text.replace('"@"', number)
+    for detail in _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, "bad_number"):
+        assert "bad_number" in detail
+
+
+def _chain(tag: str, leaf: list, depth: int) -> str:
+    """JSON text of a tree `depth` nodes deep: one-operand `tag` nodes
+    around `leaf` (written by hand: json.dumps cannot nest 2,000 deep)."""
+    return f'["{tag}", ' * (depth - 1) + json.dumps(leaf) + "]" * (depth - 1)
+
+
+_CHAINS = {"seq": ("sum", ["term", "F", 0]), "gf": ("add", ["seqgf", "F"])}
+
+
+@pytest.mark.parametrize("kind", ["seq", "gf"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 500])
+def test_manifest_tree_above_the_depth_cap_is_a_json_error(tmp_path, capsys, kind, depth):
+    tag, leaf = _CHAINS[kind]
+    text = (f'{{"identities": [{{"id": "too_deep", "kind": "{kind}", "n0": 0, '
+            f'"lhs": {_chain(tag, leaf, depth)}, "rhs": {json.dumps(leaf)}}}]}}')
+    for detail in _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, "too_deep"):
+        assert "too_deep" in detail and f"cap {MAX_DEPTH}" in detail
+
+
+def test_manifest_nested_too_deep_to_parse_is_a_json_error(tmp_path, capsys):
+    text = ('{"identities": [{"id": "deeper", "kind": "seq", "n0": 0, "lhs": '
+            + _chain("sum", ["term", "F", 0], 2000) + ', "rhs": ["term", "F", 0]}]}')
+    for detail in _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, "deeper"):
+        assert "nested too deeply" in detail
+
+
+@pytest.mark.parametrize("kind", ["seq", "gf"])
+def test_manifest_tree_at_the_depth_cap_passes(tmp_path, capsys, kind):
+    tag, leaf = _CHAINS[kind]
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"identities": [{{"id": "at_depth", "kind": "{kind}", "n0": 0, '
+                    f'"lhs": {_chain(tag, leaf, MAX_DEPTH)}, "rhs": {json.dumps(leaf)}}}]}}')
+    for flags in ((), ("--symbolic",)):
+        code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+        assert code == 0 and "PASS at_depth" in out
 
 
 def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):

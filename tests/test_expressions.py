@@ -5,6 +5,7 @@ import pytest
 from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
+from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
 from mstep.series_algebra import RatFun, gf_of, series_coeffs
@@ -163,3 +164,11 @@ def test_clear_caches_empties_the_gf_memo():
     ex.clear_caches()
     assert series_algebra._GFS == {}
     assert ex.gf_of_expr(ex.term("T", 3)) == g
+
+
+def test_clear_caches_empties_the_term_memo():
+    h = handle("T")
+    h.term(50)
+    ex.clear_caches()
+    assert sequences._HANDLES == {}
+    assert handle("T") is not h and handle("T").term(50) == h.term(50)

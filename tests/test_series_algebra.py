@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+from mstep import series_algebra
 from mstep.sequences import handle, make_mstep, registry
 from mstep.series_algebra import (
     NotAPowerSeries,
@@ -168,3 +170,12 @@ def test_shifted_gf_both_directions():
     down = series_coeffs(shifted_gf(h.spec, -2), 30)
     assert up == [h.term(n + 3) for n in range(30)]
     assert down == [h.term(n - 2) for n in range(30)]
+
+
+def test_series_algebra_imports_nothing_from_the_package():
+    """It reads specs only through their fields, so it stays independent
+    of ``sequences``: no relative import at all."""
+    with open(series_algebra.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    relative = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    assert relative == []

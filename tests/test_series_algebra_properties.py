@@ -1,18 +1,22 @@
 """Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd against a
 naive Euclid over Fractions, uniqueness of the canonical form, the coefficient
 types (int where integral, Fraction otherwise, never float), Henrici-reduced
-field operations against the full-cross-product reference, and the GF memo."""
+field operations against the full-cross-product reference, the gcd-free
+one-sided shift against a gcd-normalised reference, and the GF memo."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
 from mstep import identity_catalog as catalog
-from mstep.sequences import RecurrenceSpec, handle
+from mstep import series_algebra
+from mstep.sequences import RecurrenceSpec, handle, registry
 from mstep.series_algebra import (
+    NotAPowerSeries,
     Poly,
     RatFun,
     _as_ratfun,
@@ -20,6 +24,7 @@ from mstep.series_algebra import (
     gf_of,
     poly_gcd,
     series_coeffs,
+    shift_series,
     shifted_gf,
 )
 
@@ -306,3 +311,84 @@ def test_memoised_gfs_equal_fresh_ones(spec, shift):
     h = handle(spec)
     assert series_coeffs(fresh[0], 12) == h.values(12)
     assert series_coeffs(fresh[1], 12) == [h.term(n + shift) for n in range(12)]
+
+
+def old_gf_of(spec) -> RatFun:
+    """The GF with its numerator built term by term, as gf_of once did:
+    num[n] = seed_n - sum_j c_j seed_{n-j} for n < len(seeds)."""
+    seeds = spec.seeds
+    num = []
+    for n, a in enumerate(seeds):
+        acc = a
+        for j, c in enumerate(spec.coeffs, start=1):
+            if c and n - j >= 0:
+                acc -= c * seeds[n - j]
+        num.append(acc)
+    return RatFun(Poly(num), Poly([1] + [-c for c in spec.coeffs]))
+
+
+@props
+@given(recurrences())
+def test_gf_of_equals_the_term_by_term_numerator(spec):
+    ex.clear_caches()
+    assert canonical(gf_of(spec)) == canonical(old_gf_of(spec))
+
+
+@props
+@given(recurrences(), st.integers(-8, 8))
+def test_shifted_gfs_keep_the_gf_denominator(spec, shift):
+    assert shifted_gf(spec, shift).den == gf_of(spec).den
+
+
+def test_registry_shifted_gfs_keep_the_gf_denominator():
+    for spec in registry().values():
+        for shift in range(-8, 9):
+            assert shifted_gf(spec, shift).den == gf_of(spec).den, (spec.name, shift)
+
+
+# -- the one-sided shift -------------------------------------------------------------
+
+
+power_series = st.tuples(polys, nonzero_polys.filter(lambda d: d[0] != 0)).map(
+    lambda nd: RatFun(*nd))
+shifts = st.integers(-8, 8)
+
+
+def ref_shift(f: RatFun, s: int) -> RatFun:
+    """n -> f_{n+s}, one-sided, normalised through RatFun(...)'s gcd:
+    x^-s f for s <= 0, (f - f_0 - ... - f_{s-1} x^(s-1)) / x^s for s > 0."""
+    if s <= 0:
+        return RatFun(f.num * Poly((0,) * -s + (1,)), f.den)
+    prefix = Poly(series_coeffs(f, s))
+    return RatFun(f.num - prefix * f.den, f.den * Poly((0,) * s + (1,)))
+
+
+@props
+@given(power_series, shifts)
+def test_shift_series_equals_the_gcd_normalised_reference(f, s):
+    got = shift_series(f, s)
+    assert canonical(got) == canonical(ref_shift(f, s))
+    series = series_coeffs(f, 12 + max(s, 0))
+    want = [series[n + s] if n + s >= 0 else 0 for n in range(12)]
+    assert series_coeffs(got, 12) == want
+
+
+@props
+@given(power_series, shifts)
+def test_shift_series_takes_no_gcd(f, s):
+    def refuse(a, b):
+        raise AssertionError("poly_gcd called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_algebra, "poly_gcd", refuse)
+        got = shift_series(f, s)
+    assert canonical(got) == canonical(ref_shift(f, s))
+
+
+@props
+@given(polys, nonzero_polys, shifts)
+def test_shift_series_rejects_a_pole_at_zero(num, den, s):
+    f = RatFun(num, den.shift(1))
+    if f.den[0] == 0:
+        with pytest.raises(NotAPowerSeries):
+            shift_series(f, s)
