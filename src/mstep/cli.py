@@ -30,11 +30,18 @@ from .series_algebra import NotAPowerSeries, agrees_from
 # 2.9 s (69 MB), `search` at the four search caps 0.2-0.5 s for each of
 # m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
 # sequences.MAX_MSTEP_ORDER.)
+#
+# `solve`'s summed-order cap bounds its Euclid runs over Q, which grow
+# steeply with the degree of the cofactor reduced mod each denominator.
+# The slowest shape found, one large factor against eleven small ones, took
+# 2.8 s at the cap (`F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71`), 3.7 s at 128
+# and 8 s at 150; consecutive factors are cheap (`F20,...,F31`, 306: 1.0 s).
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
 MAX_ORACLE_N = 500  # solve and table --oracle-n: the same oracle, once per cell
 MAX_FACTORS = 12  # conv and solve --factors: each factor is one more oracle pass
+MAX_SOLVE_ORDER = 120  # solve --factors: summed recurrence order = product GF degree
 MAX_TABLE_SUM = 14  # table --max: (N - 2)(N - 1)/2 cells, one solve each
 MAX_VERIFY_N = 2_000  # verify --max-n: n values of about 0.7n bits per column
 MAX_SEARCH_P = 16  # search --max-p
@@ -211,6 +218,8 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     factors = _factors(args)
+    order = sum(resolve(f).order for f in factors)
+    _at_most(order, MAX_SOLVE_ORDER, "summed order of the factors")
     cf = solver.solve_conv_multi(factors)
     oracle_ok = cf.check_oracle(args.oracle_n)
     if args.format == "json":

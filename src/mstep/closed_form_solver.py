@@ -17,8 +17,8 @@ gap identity repeatedly by x^p and collapsing windows of consecutive terms
 (m-window to one term; (m+1)-window to twice one term; (2m+2)-window to
 four times one term).  It covers exactly the divisibility cases p|m,
 p|m+1 and p = 2m+2 and produces the aligned convolution together with its
-explicit other-terms; the closed form is cross-checked against the
-convolution's own generating function, F^(m)(x) * F^(m+p)(x).
+explicit other-terms, proved by generating functions; the closed form is
+cross-checked against the convolution's own GF, F^(m)(x) * F^(m+p)(x).
 
 Closed forms are unique only modulo each sequence's recurrence kernel, so
 equality against a reference expression is never syntactic.  ``equivalent``
@@ -37,7 +37,7 @@ from functools import cached_property
 
 from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
-from .identity_catalog import Identity, verify_numeric
+from .identity_catalog import Identity, verify_symbolic
 from .sequences import handle, make_mstep, mstep_name, resolve
 from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, combo_gf, gf_of, poly_gcd
 
@@ -238,7 +238,8 @@ def solve_conv_multi(specs) -> ClosedForm:
     parts = []
     for spec, g in zip(specs, gfs):
         d = g.den
-        _, v, c = bezout(d, den // d)  # coprime, so c is a nonzero constant
+        # The cofactor mod d gives the same inverse from a Euclid of degree deg d.
+        _, v, c = bezout(d, (den // d) % d)  # coprime, so c is a nonzero constant
         a_i = (rem * v * Fraction(1, c.coeffs[0])) % d
         combo, extra = _fraction_to_shifts(g, a_i)
         parts.append((spec, combo))
@@ -334,10 +335,10 @@ def stacking_case(m: int, p: int) -> tuple | None:
 def derive_case(m: int, p: int) -> CaseDerivation:
     """Reproduce the stacking derivation for conv(F^(m), F^(m+p)).
 
-    Emits the aligned restricted convolution with its explicit other-terms
-    and the resulting closed form, then cross-checks the closed form
-    against the convolution's generating function F^(m)(x) * F^(m+p)(x),
-    with no partial-fraction solve.
+    Emits the aligned restricted convolution with its explicit other-terms,
+    proved by generating functions like a catalog entry (``verify_symbolic``),
+    and the resulting closed form, cross-checked against the convolution's
+    generating function F^(m)(x) * F^(m+p)(x) with no partial-fraction solve.
     """
     if m < 2 or p < 1:
         raise CaseNotApplicable(f"need m >= 2 and p >= 1, got (m, p) = ({m}, {p})")
@@ -351,9 +352,9 @@ def derive_case(m: int, p: int) -> CaseDerivation:
         ident, closed = _derive_quadruple_case(m, lo, hi)
     else:
         ident, closed = _derive_div_case(m, p, lo, hi, ell, doubled=case == "p|m+1")
-    rep = verify_numeric(ident, 80)
-    if not rep.passed:
-        raise AssertionError(f"derived identity fails: {ident.id}: {rep.first_failure}")
+    rep = verify_symbolic(ident)
+    if rep is None or not rep.passed:
+        raise AssertionError(f"derived identity fails its GF proof: {ident.id}")
     product = gf_of(make_mstep(m)) * gf_of(make_mstep(m + p))
     checked = agrees_from(product, ex.gf_of_expr(closed), 0)
     if not checked:

@@ -1,13 +1,20 @@
 """The identity catalog, built in process.
 
 Every displayed identity of the paper is encoded here as an expression
-tree and instantiated over its parameter range; :func:`build_identities`
-is the one source of the default catalog that
-:func:`mstep.identity_catalog.load_manifest` returns.  Two entries are
-documented misprints and carry a ``negative`` block recording exactly how
-they fail; the partial-sum and 2^j-vs-TQ families additionally carry the
-corrected index forms that do verify (anchors in ``paper_quote`` give the
-original formula snippets).
+tree; :func:`build_identities` is the one source of the default catalog
+that :func:`mstep.identity_catalog.load_manifest` returns.
+
+A parametrised family is one function of its parameters, instantiated by
+the one rule :func:`_family` over its parameter range.  The rule also
+writes each entry's id and ``params``: the id is the family name followed
+by ``_<key><value>`` for every parameter in order, so the two cannot
+disagree.  Entries stay hand-written where the rule does not describe
+them: one-off identities; the two documented misprints, which carry a
+``negative`` block recording exactly how they fail (the partial-sum and
+2^j-vs-TQ families carry the corrected index forms that do verify, and
+anchors in ``paper_quote`` give the original formula snippets); and the
+``reduce_even``/``reduce_odd`` pair, whose ids name ``l`` before ``m``
+while ``params`` lists ``m`` first, and whose entries interleave.
 
 ``python -m mstep.manifest_build > catalog.json`` exports the catalog as
 JSON, the format that ``mstep verify --manifest`` and ``gfcheck
@@ -28,18 +35,45 @@ J = "jacobsthal"
 PELL = "pell"
 
 
+def fm(m, shift=0):
+    """F^(m)_{n+shift}, the m-step sequence as an expression leaf."""
+    return term(ms(m), shift)
+
+
 def _seq(id_, lhs, rhs, n0=0, quote="", params=None, negative=None) -> Identity:
     return Identity(id_, "seq", lhs, rhs, n0, params or {}, quote, negative)
 
 
-def _gf(id_, lhs, rhs, quote="", params=None) -> Identity:
-    return Identity(id_, "gf", lhs, rhs, 0, params or {}, quote)
+def _gf(id_, lhs, rhs, quote="") -> Identity:
+    return Identity(id_, "gf", lhs, rhs, 0, {}, quote)
+
+
+def _family(out, kind, name, grid, quote, build) -> None:
+    """Append one ``kind`` entry per parameter dict of ``grid``.
+
+    ``grid`` maps each parameter to its values, outermost first; a value
+    range may be a function of the parameters before it.  ``build(**params)``
+    returns (lhs, rhs) or (lhs, rhs, n0), and the id is ``name`` followed by
+    ``_<key><value>`` for each parameter.
+    """
+    dicts = [{}]
+    for key, values in grid.items():
+        dicts = [{**d, key: v} for d in dicts
+                 for v in (values(**d) if callable(values) else values)]
+    for params in dicts:
+        id_ = name + "".join(f"_{key}{value}" for key, value in params.items())
+        out.append(Identity(id_, kind, *build(**params), params=params, paper_quote=quote))
 
 
 # -- GF tree builders ---------------------------------------------------------
 
 def gseq(name):
     return ["seqgf", name]
+
+
+def gfm(m):
+    """F^(m)(x), the GF of the m-step sequence."""
+    return gseq(ms(m))
 
 
 def gpoly(*coeffs):
@@ -100,36 +134,24 @@ def _intro_entries(out):
 
 
 def _two_sequence_entries(out):
-    for m in range(1, 9):
-        out.append(_seq(
-            f"adjacent_m{m}",
-            conv(term(ms(m)), term(ms(m + 1)), offset=-m),
-            sub(term(ms(m + 1)), term(ms(m))),
-            n0=m, params={"m": m},
-            quote="F_n^{(m+1)} - F_n^{(m)}"))
+    _family(out, "seq", "adjacent", {"m": range(1, 9)}, "F_n^{(m+1)} - F_n^{(m)}",
+            lambda m: (conv(fm(m), fm(m + 1), offset=-m),
+                       sub(fm(m + 1), fm(m)), m))
     out.append(_seq("conv_FT", conv(term("F"), term("T")),
                     sub(term("T", 2), term("F", 2)), quote="T_{n+2} - F_{n+2}"))
     out.append(_seq("conv_TQ", conv(term("T"), term("Q")),
                     sub(term("Q", 3), term("T", 3)), quote="Q_{n+3} - T_{n+3}"))
     out.append(_seq("conv_QP", conv(term("Q"), term("P")),
                     sub(term("P", 4), term("Q", 4)), quote="P_{n+4} - Q_{n+4}"))
-    for m in range(1, 9):
-        for p in range(2, 10 - m):
-            lhs = add(*[
-                conv(term(ms(m)), term(ms(m + p)), offset=-m - k)
-                for k in range(p)
-            ])
-            out.append(_seq(
-                f"pgap_m{m}_p{p}", lhs, sub(term(ms(m + p)), term(ms(m))),
-                n0=m, params={"m": m, "p": p},
-                quote="\\sum_{k=0}^{p-1} \\sum_{j=0}^{n-m-k}"))
-    for m in range(1, 8):
-        out.append(_seq(
-            f"gap2_m{m}",
-            conv(term(ms(m)), add(term(ms(m + 2), 1), term(ms(m + 2))), offset=-m - 1),
-            sub(term(ms(m + 2)), term(ms(m))),
-            n0=m, params={"m": m},
-            quote="F_{n-m-j}^{(m+2)} + F_{n-m-j-1}^{(m+2)}"))
+    _family(out, "seq", "pgap", {"m": range(1, 9), "p": lambda m: range(2, 10 - m)},
+            "\\sum_{k=0}^{p-1} \\sum_{j=0}^{n-m-k}",
+            lambda m, p: (add(*[conv(fm(m), fm(m + p), offset=-m - k)
+                                for k in range(p)]),
+                          sub(fm(m + p), fm(m)), m))
+    _family(out, "seq", "gap2", {"m": range(1, 8)},
+            "F_{n-m-j}^{(m+2)} + F_{n-m-j-1}^{(m+2)}",
+            lambda m: (conv(fm(m), add(fm(m + 2, 1), fm(m + 2)), offset=-m - 1),
+                       sub(fm(m + 2), fm(m)), m))
     out.append(_seq(
         "trib_partial_sum", conv(term("T")),
         scale(Fraction(1, 2), add(term("T", 2), term("T"), const(-1))),
@@ -138,23 +160,17 @@ def _two_sequence_entries(out):
         "conv_FQ_shift2", conv(term("F", 2), term("Q")),
         sub(term("Q", 3), term("F", 3)),
         quote="F_{j+2} Q_{n-j}"))
-    for p in range(1, 9):
-        lhs = add(*[conv(term(ms(p + 1)), offset=-2 - k) for k in range(p)])
-        out.append(_seq(
-            f"double_psum_p{p}", lhs, add(term(ms(p + 1)), const(-1)),
-            n0=p, params={"p": p},
-            quote="F^{(p+1)}_n - 1"))
+    _family(out, "seq", "double_psum", {"p": range(1, 9)}, "F^{(p+1)}_n - 1",
+            lambda p: (add(*[conv(fm(p + 1), offset=-2 - k) for k in range(p)]),
+                       add(fm(p + 1), const(-1)), p))
     # Partial sum theorem, corrected inner index n+m-1-k (the printed n+k
     # variant fails; it is kept below as a documented misprint).
-    for m in range(2, 9):
-        rhs_terms = [term(ms(m), m)]
-        rhs_terms += [scale(-k, term(ms(m), m - 1 - k)) for k in range(1, m - 1)]
-        rhs_terms.append(const(-1))
-        out.append(_seq(
-            f"partial_sum_m{m}", conv(term(ms(m))),
-            scale(Fraction(1, m - 1), add(*rhs_terms)),
-            params={"m": m},
-            quote="\\frac{1}{m-1}"))
+    _family(out, "seq", "partial_sum", {"m": range(2, 9)}, "\\frac{1}{m-1}",
+            lambda m: (conv(fm(m)),
+                       scale(Fraction(1, m - 1), add(
+                           fm(m, m),
+                           *[scale(-k, fm(m, m - 1 - k)) for k in range(1, m - 1)],
+                           const(-1)))))
     printed_rhs = scale(Fraction(1, 3), add(
         term("Q", 4), scale(-1, term("Q", 1)), scale(-2, term("Q", 2)), const(-1)))
     out.append(_seq(
@@ -180,13 +196,10 @@ def _two_sequence_entries(out):
 
 
 def _switch_entries(out):
-    for m in range(3, 9):
-        out.append(_seq(
-            f"switch_m{m}",
-            conv(term(ms(m - 2)), sub(term(ms(m)), term(ms(m - 1)))),
-            conv(term(ms(m)), sub(term(ms(m - 1)), term(ms(m - 2))), offset=-1),
-            n0=1, params={"m": m},
-            quote="F_{n-1-j}^{(m-1)} - F_{n-1-j}^{(m-2)}"))
+    _family(out, "seq", "switch", {"m": range(3, 9)},
+            "F_{n-1-j}^{(m-1)} - F_{n-1-j}^{(m-2)}",
+            lambda m: (conv(fm(m - 2), sub(fm(m), fm(m - 1))),
+                       conv(fm(m), sub(fm(m - 1), fm(m - 2)), offset=-1), 1))
     out.append(_seq(
         "switch_TF", sub(term("T", 1), term("F", 1)),
         conv(term("T"), term("F"), offset=-1),
@@ -199,13 +212,9 @@ def _switch_entries(out):
         "switch_TQP", conv(term("T"), sub(term("Q"), term("P"))),
         conv(sub(term("T"), term("Q")), term("P"), offset=-1),
         n0=1, quote="(T_{j} - Q_{j}) P_{n-1-j}"))
-    for m in range(2, 9):
-        out.append(_seq(
-            f"pow2_main_m{m}",
-            conv(term(ms(m - 1)), term(ms(m))),
-            conv(geo2(0), sub(term(ms(m - 1), 1), term(ms(m))), offset=-2),
-            n0=2, params={"m": m},
-            quote="2^j ( F_{n-1-j}^{(m-1)}"))
+    _family(out, "seq", "pow2_main", {"m": range(2, 9)}, "2^j ( F_{n-1-j}^{(m-1)}",
+            lambda m: (conv(fm(m - 1), fm(m)),
+                       conv(geo2(0), sub(fm(m - 1, 1), fm(m)), offset=-2), 2))
     out.append(_seq(
         "pow2_F", conv(geo2(0), term("F")),
         add(geo2(1), scale(-1, term("F", 3))),
@@ -227,31 +236,19 @@ def _switch_entries(out):
         quote="T_j Q_{n-j}",
         negative={"first_fail": {"n": 0, "lhs": "0", "rhs": "1"},
                   "note": "misprinted upper index; see pow2_TQ"}))
-    for m in range(1, 9):
-        out.append(_seq(
-            f"pow2_general_m{m}", conv(geo2(0), term(ms(m))),
-            add(geo2(m - 1), scale(-1, term(ms(m), m + 1))),
-            params={"m": m},
-            quote="2^{n-1+m} - F_{n+1+m}^{(m)}"))
+    _family(out, "seq", "pow2_general", {"m": range(1, 9)}, "2^{n-1+m} - F_{n+1+m}^{(m)}",
+            lambda m: (conv(geo2(0), fm(m)),
+                       add(geo2(m - 1), scale(-1, fm(m, m + 1)))))
 
 
 def _alternating_entries(out):
-    for m in (2, 3, 4):
-        a, b = ms(2 * m), ms(2 * m - 2)
-        out.append(_seq(
-            f"alt_even_m{m}",
-            conv(mul(alt(0), sub(term(a), term(b))), offset=-1),
-            mul(alt(1), conv(term(a), term(b), offset=-(2 * m - 1))),
-            n0=2 * m - 1, params={"m": m},
-            quote="F_{j}^{(2m)}F_{n-2m+1-j}^{(2m-2)}"))
-    for m in (1, 2, 3):
-        a, b = ms(2 * m + 1), ms(2 * m - 1)
-        out.append(_seq(
-            f"alt_odd_m{m}",
-            conv(mul(alt(1), sub(term(a), term(b))), offset=-1),
-            mul(alt(0), conv(term(a), term(b), offset=-2 * m)),
-            n0=2 * m, params={"m": m},
-            quote="F_{j}^{(2m+1)}F_{n-2m-j}^{(2m-1)}"))
+    _family(out, "seq", "alt_even", {"m": (2, 3, 4)}, "F_{j}^{(2m)}F_{n-2m+1-j}^{(2m-2)}",
+            lambda m: (conv(mul(alt(0), sub(fm(2 * m), fm(2 * m - 2))), offset=-1),
+                       mul(alt(1), conv(fm(2 * m), fm(2 * m - 2), offset=-(2 * m - 1))),
+                       2 * m - 1))
+    _family(out, "seq", "alt_odd", {"m": (1, 2, 3)}, "F_{j}^{(2m+1)}F_{n-2m-j}^{(2m-1)}",
+            lambda m: (conv(mul(alt(1), sub(fm(2 * m + 1), fm(2 * m - 1))), offset=-1),
+                       mul(alt(0), conv(fm(2 * m + 1), fm(2 * m - 1), offset=-2 * m)), 2 * m))
     out.append(_seq(
         "altsum_T", conv(mul(alt(0), term("T"))),
         scale(Fraction(1, 2), add(
@@ -264,14 +261,10 @@ def _alternating_entries(out):
             scale(2, term("P", 4)), term("P", 3),
             scale(-1, term("T", 4)), term("T", 2))),
         quote="-P_{n+7}+2P_{n+6}-P_{n+5}"))
-    for m in range(3, 9):
-        out.append(_seq(
-            f"jacobsthal_m{m}",
-            conv(term(ms(m)), term(ms(m - 2))),
-            add(term(J, -1),
-                conv(term(J), sub(term(ms(m - 2), 2), term(ms(m))), offset=-2)),
-            n0=2, params={"m": m},
-            quote="J_{n-1} + \\sum"))
+    _family(out, "seq", "jacobsthal", {"m": range(3, 9)}, "J_{n-1} + \\sum",
+            lambda m: (conv(fm(m), fm(m - 2)),
+                       add(term(J, -1),
+                           conv(term(J), sub(fm(m - 2, 2), fm(m)), offset=-2)), 2))
     out.append(_seq(
         "conv_JT", conv(term(J), term("T")),
         add(term(J, 1), scale(Fraction(1, 2), add(
@@ -313,14 +306,10 @@ def _alternating_entries(out):
 
 
 def _multi_sequence_entries(out):
-    for m in range(2, 6):
-        out.append(_seq(
-            f"pell_triple_m{m}",
-            conv(term(PELL), term(ms(m - 1)), term(ms(m)), offset=-1),
-            sub(conv(term(ms(m - 1)), sub(term(PELL), term(ms(m)))),
-                conv(term(PELL), term(ms(m)), offset=-1)),
-            n0=1, params={"m": m},
-            quote="Pell-Fibonacci-$m$-step-relation"))
+    _family(out, "seq", "pell_triple", {"m": range(2, 6)}, "Pell-Fibonacci-$m$-step-relation",
+            lambda m: (conv(term(PELL), fm(m - 1), fm(m), offset=-1),
+                       sub(conv(fm(m - 1), sub(term(PELL), fm(m))),
+                           conv(term(PELL), fm(m), offset=-1)), 1))
     ftp_lhs = conv(term(PELL), term("F"), term("T"))
     out.append(_seq(
         "conv_PellFT_a", ftp_lhs,
@@ -338,15 +327,10 @@ def _multi_sequence_entries(out):
         scale(Fraction(1, 2), add(
             term(PELL, 1), scale(-1, term("T", 1)), scale(-1, term("T")))),
         quote="\\mathcal{P}_{n+1} - T_{n+1} - T_{n}"))
-    for r in (1, 2, 3):
-        kernels = [term(PELL)] + [term("F")] * r
-        sums = [term("F")]
-        sums += [conv(*([term("F")] * s)) for s in range(2, r + 1)]
-        out.append(_seq(
-            f"pellpow_r{r}", conv(*kernels),
-            sub(term(PELL), add(*sums)),
-            params={"r": r},
-            quote="\\mathcal{P}_n - \\sum_{s=1}^r"))
+    _family(out, "seq", "pellpow", {"r": (1, 2, 3)}, "\\mathcal{P}_n - \\sum_{s=1}^r",
+            lambda r: (conv(term(PELL), *[term("F")] * r),
+                       sub(term(PELL), add(
+                           term("F"), *[conv(*[term("F")] * s) for s in range(2, r + 1)]))))
     pell_poly3 = scale(Fraction(-1, 5), add(
         mul(npoly(-1, 1), term("F")), mul(npoly(0, 2), term("F", -1))))
     out.append(_seq(
@@ -394,14 +378,10 @@ def _multi_sequence_entries(out):
             term("T", 3), term("T", 1), scale(-1, term("F")))),
             scale(-1, term("Q", 3)), scale(-1, term("Q", 1))),
         quote="P_{n+4}-P_{n+3}+P_{n+2}"))
-    for m in (1, 2):
-        out.append(_seq(
-            f"quad_switch_m{m}",
-            conv(*[term(ms(m + j)) for j in range(4)], offset=-(2 * m + 2)),
-            conv(sub(term(ms(m + 3)), term(ms(m + 2))),
-                 sub(term(ms(m + 1)), term(ms(m)))),
-            params={"m": m},
-            quote="F^{(m+3)}_j-F^{(m+2)}_j"))
+    _family(out, "seq", "quad_switch", {"m": (1, 2)}, "F^{(m+3)}_j-F^{(m+2)}_j",
+            lambda m: (conv(*[fm(m + j) for j in range(4)], offset=-(2 * m + 2)),
+                       conv(sub(fm(m + 3), fm(m + 2)),
+                            sub(fm(m + 1), fm(m)))))
 
 
 def _reduction_entries(out):
@@ -409,17 +389,17 @@ def _reduction_entries(out):
         for ell in (1, 2):
             shift = ell * (m + ell - 1)
             diffs = [
-                sub(term(ms(m + 2 * j + 1)), term(ms(m + 2 * j)))
+                sub(fm(m + 2 * j + 1), fm(m + 2 * j))
                 for j in range(ell)
             ]
-            even_lhs = conv(*[term(ms(m + j)) for j in range(2 * ell)], offset=-shift)
+            even_lhs = conv(*[fm(m + j) for j in range(2 * ell)], offset=-shift)
             even_rhs = diffs[0] if ell == 1 else conv(*diffs)
             out.append(_seq(
                 f"reduce_even_l{ell}_m{m}", even_lhs, even_rhs,
                 params={"m": m, "l": ell},
                 quote="cut off half of the sequences"))
-            odd_lhs = conv(*[term(ms(m + j)) for j in range(2 * ell + 1)], offset=-shift)
-            odd_rhs = conv(term(ms(m + 2 * ell)), *diffs)
+            odd_lhs = conv(*[fm(m + j) for j in range(2 * ell + 1)], offset=-shift)
+            odd_rhs = conv(fm(m + 2 * ell), *diffs)
             out.append(_seq(
                 f"reduce_odd_l{ell}_m{m}", odd_lhs, odd_rhs,
                 params={"m": m, "l": ell},
@@ -455,13 +435,9 @@ def _case_study_entries(out):
             term(o, 3), scale(-1, term(o)), scale(2, term(o, -1)), term(o, -3),
             scale(-1, term("F", 3)))),
         quote="\\mathcal{O}_{n+3}-\\mathcal{O}_{n}+2\\mathcal{O}_{n-1}"))
-    for m in range(2, 7):
-        out.append(_seq(
-            f"window4_m{m}",
-            add(*[term(ms(m), k) for k in range(2 * m + 2)]),
-            scale(4, term(ms(m), 2 * m)),
-            params={"m": m},
-            quote="4F_{n+2m}^{(m)}"))
+    _family(out, "seq", "window4", {"m": range(2, 7)}, "4F_{n+2m}^{(m)}",
+            lambda m: (add(*[fm(m, k) for k in range(2 * m + 2)]),
+                       scale(4, fm(m, 2 * m))))
     out.append(_seq(
         "wsum_5F",
         add(term("F"), term("F", 1), scale(2, term("F", 2)), scale(2, term("F", 3)),
@@ -497,104 +473,64 @@ def _case_study_entries(out):
 def _gf_entries(out):
     p2 = gdiv(gx(1), gpoly(1, -2))
     r_gf = gdiv(gx(1), gpoly(1, 0, -1))
-    for m in range(1, 9):
-        out.append(_gf(
-            f"gf_adjacent_m{m}",
-            gsub(gseq(ms(m + 1)), gseq(ms(m))),
-            gmul(gx(m), gseq(ms(m)), gseq(ms(m + 1))),
-            params={"m": m},
-            quote="F^{(m+1)}(x) - F^{(m)} (x) = x^m F^{(m)}(x)F^{(m+1)}(x)"))
-    for m in range(1, 9):
-        for p in range(2, 10 - m):
-            out.append(_gf(
-                f"gf_pgap_m{m}_p{p}",
-                gsub(gseq(ms(m + p)), gseq(ms(m))),
-                gmul(_window(p, m), gseq(ms(m)), gseq(ms(m + p))),
-                params={"m": m, "p": p},
-                quote="\\sum_{k=1}^p x^{m+k-1}"))
-    for m in range(3, 9):
-        out.append(_gf(
-            f"gf_switch_m{m}",
-            gmul(gseq(ms(m - 2)), gsub(gseq(ms(m)), gseq(ms(m - 1)))),
-            gmul(gx(1), gseq(ms(m)), gsub(gseq(ms(m - 1)), gseq(ms(m - 2)))),
-            params={"m": m},
-            quote="F^{(m-2)}(x) (F^{(m)}(x) - F^{(m-1)}(x))"))
-    for m in range(2, 9):
-        out.append(_gf(
-            f"gf_pow2_m{m}",
-            gmul(p2, gseq(ms(m - 1))),
-            gadd(gmul(gseq(ms(m)), gseq(ms(m - 1))), gmul(gx(1), p2, gseq(ms(m)))),
-            params={"m": m},
-            quote="P_2(x) F^{(m-1)}(x) = F^{(m)}(x) F^{(m-1)}(x) + x P_2(x) F^{(m)}(x)"))
-    for m in (2, 3, 4):
-        a, b = gsubneg(gseq(ms(2 * m))), gsubneg(gseq(ms(2 * m - 2)))
-        out.append(_gf(
-            f"gf_alt_even_m{m}",
-            gmul(gsub(a, b), gseq("F1")),
-            gmul(gx(2 * m - 1), a, b),
-            params={"m": m},
-            quote="\\frac{1}{F^{(2m)}(-x)} = \\frac{1}{F^{(2m-2)}(-x)} - x^{2m-1}\\frac{1}{F^{(1)}(x)}"))
-    for m in (1, 2, 3):
-        a, b = gsubneg(gseq(ms(2 * m - 1))), gsubneg(gseq(ms(2 * m + 1)))
-        out.append(_gf(
-            f"gf_alt_odd_m{m}",
-            gmul(gsub(a, b), gseq("F1")),
-            gmul(gx(2 * m), a, b),
-            params={"m": m},
-            quote="x^{2m} F^{(2m-1)}(-x) F^{(2m+1)}(-x)"))
-    for m in range(3, 9):
-        out.append(_gf(
-            f"gf_jacobsthal_m{m}",
-            gdiv(gx(1), gseq(ms(m))),
-            gadd(gdiv(gx(1), gseq(J)), gdiv(gx(3), gseq(ms(m - 2)))),
-            params={"m": m},
-            quote="\\frac{x}{F^{(m)}(x)} = \\frac{x}{J(x)} + \\frac{x^3}{F^{(m-2)}(x)}"))
-    for m in range(2, 9):
-        out.append(_gf(
-            f"gf_pell_m{m}",
-            gmul(gx(1), gseq(PELL), gseq(ms(m - 1)), gseq(ms(m))),
-            gsub(gmul(gseq(ms(m - 1)), gsub(gseq(PELL), gseq(ms(m)))),
-                 gmul(gx(1), gseq(PELL), gseq(ms(m)))),
-            params={"m": m},
-            quote="x \\mathcal{P}(x) F^{(m-1)}(x) F^{(m)}(x)"))
-    for m in (1, 2, 3):
-        for p in (1, 2, 3):
-            for q in (1, 2, 3):
-                out.append(_gf(
-                    f"gf_triple_m{m}_p{p}_q{q}",
-                    gmul(gx(2 * m + p), gone_minus_xp(p), gone_minus_xp(q),
-                         gseq(ms(m)), gseq(ms(m + p)), gseq(ms(m + p + q))),
-                    gsub(gmul(gx(m), gpoly(1, -1), gone_minus_xp(p),
-                              gseq(ms(m)), gseq(ms(m + p + q))),
-                         gmul(gpoly(1, -1), gpoly(1, -1),
-                              gsub(gseq(ms(m + p)), gseq(ms(m))))),
-                    params={"m": m, "p": p, "q": q},
-                    quote="(1-x^p)(1-x^q)"))
-    for m in range(1, 5):
-        for p in range(1, 6):
-            out.append(_gf(
-                f"gf_FpFm_m{m}_p{p}",
-                gmul(gx(m), gseq(ms(m)), gseq(ms(m + 1)), gseq(ms(p))),
-                gsub(gmul(gseq(ms(p)), gseq(ms(m + 1))),
-                     gmul(gseq(ms(p)), gseq(ms(m)))),
-                params={"m": m, "p": p},
-                quote="F^{(p)}(x)F^{(m+1)}(x)-F^{(p)}(x)F^{(m)}(x)"))
-    for m in (1, 2):
-        seqs = [gseq(ms(m + j)) for j in range(4)]
-        out.append(_gf(
-            f"gf_quad_m{m}",
-            gmul(gx(2 * m + 1), *seqs),
-            gadd(gmul(gx(m), seqs[0], seqs[2], seqs[3]),
-                 gneg(gmul(seqs[1], seqs[3])),
-                 gmul(seqs[0], seqs[3])),
-            params={"m": m},
-            quote="x^m F^{(m)}(x)F^{(m+2)}(x) F^{(m+3)}(x)"))
-        out.append(_gf(
-            f"gf_factor_m{m}",
-            gmul(gx(2 * m + 2), *seqs),
-            gmul(gsub(seqs[1], seqs[0]), gsub(seqs[3], seqs[2])),
-            params={"m": m},
-            quote="\\big(F^{(m+1)}(x)-F^{(m)}(x)\\big)"))
+    _family(out, "gf", "gf_adjacent", {"m": range(1, 9)},
+            "F^{(m+1)}(x) - F^{(m)} (x) = x^m F^{(m)}(x)F^{(m+1)}(x)",
+            lambda m: (gsub(gfm(m + 1), gfm(m)),
+                       gmul(gx(m), gfm(m), gfm(m + 1))))
+    _family(out, "gf", "gf_pgap", {"m": range(1, 9), "p": lambda m: range(2, 10 - m)},
+            "\\sum_{k=1}^p x^{m+k-1}",
+            lambda m, p: (gsub(gfm(m + p), gfm(m)),
+                          gmul(_window(p, m), gfm(m), gfm(m + p))))
+    _family(out, "gf", "gf_switch", {"m": range(3, 9)},
+            "F^{(m-2)}(x) (F^{(m)}(x) - F^{(m-1)}(x))",
+            lambda m: (gmul(gfm(m - 2), gsub(gfm(m), gfm(m - 1))),
+                       gmul(gx(1), gfm(m), gsub(gfm(m - 1), gfm(m - 2)))))
+    _family(out, "gf", "gf_pow2", {"m": range(2, 9)},
+            "P_2(x) F^{(m-1)}(x) = F^{(m)}(x) F^{(m-1)}(x) + x P_2(x) F^{(m)}(x)",
+            lambda m: (gmul(p2, gfm(m - 1)),
+                       gadd(gmul(gfm(m), gfm(m - 1)), gmul(gx(1), p2, gfm(m)))))
+    _family(out, "gf", "gf_alt_even", {"m": (2, 3, 4)},
+            "\\frac{1}{F^{(2m)}(-x)} = \\frac{1}{F^{(2m-2)}(-x)} - x^{2m-1}\\frac{1}{F^{(1)}(x)}",
+            lambda m: (gmul(gsub(gsubneg(gfm(2 * m)), gsubneg(gfm(2 * m - 2))), gseq("F1")),
+                       gmul(gx(2 * m - 1), gsubneg(gfm(2 * m)), gsubneg(gfm(2 * m - 2)))))
+    _family(out, "gf", "gf_alt_odd", {"m": (1, 2, 3)},
+            "x^{2m} F^{(2m-1)}(-x) F^{(2m+1)}(-x)",
+            lambda m: (gmul(gsub(gsubneg(gfm(2 * m - 1)), gsubneg(gfm(2 * m + 1))), gseq("F1")),
+                       gmul(gx(2 * m), gsubneg(gfm(2 * m - 1)), gsubneg(gfm(2 * m + 1)))))
+    _family(out, "gf", "gf_jacobsthal", {"m": range(3, 9)},
+            "\\frac{x}{F^{(m)}(x)} = \\frac{x}{J(x)} + \\frac{x^3}{F^{(m-2)}(x)}",
+            lambda m: (gdiv(gx(1), gfm(m)),
+                       gadd(gdiv(gx(1), gseq(J)), gdiv(gx(3), gfm(m - 2)))))
+    _family(out, "gf", "gf_pell", {"m": range(2, 9)},
+            "x \\mathcal{P}(x) F^{(m-1)}(x) F^{(m)}(x)",
+            lambda m: (gmul(gx(1), gseq(PELL), gfm(m - 1), gfm(m)),
+                       gsub(gmul(gfm(m - 1), gsub(gseq(PELL), gfm(m))),
+                            gmul(gx(1), gseq(PELL), gfm(m)))))
+    _family(out, "gf", "gf_triple", {"m": (1, 2, 3), "p": (1, 2, 3), "q": (1, 2, 3)},
+            "(1-x^p)(1-x^q)",
+            lambda m, p, q: (gmul(gx(2 * m + p), gone_minus_xp(p), gone_minus_xp(q),
+                                  gfm(m), gfm(m + p), gfm(m + p + q)),
+                             gsub(gmul(gx(m), gpoly(1, -1), gone_minus_xp(p),
+                                       gfm(m), gfm(m + p + q)),
+                                  gmul(gpoly(1, -1), gpoly(1, -1),
+                                       gsub(gfm(m + p), gfm(m))))))
+    _family(out, "gf", "gf_FpFm", {"m": range(1, 5), "p": range(1, 6)},
+            "F^{(p)}(x)F^{(m+1)}(x)-F^{(p)}(x)F^{(m)}(x)",
+            lambda m, p: (gmul(gx(m), gfm(m), gfm(m + 1), gfm(p)),
+                          gsub(gmul(gfm(p), gfm(m + 1)),
+                               gmul(gfm(p), gfm(m)))))
+    # The quad and factor families interleave: m = 1 of each, then m = 2.
+    quad, factor = [], []
+    _family(quad, "gf", "gf_quad", {"m": (1, 2)}, "x^m F^{(m)}(x)F^{(m+2)}(x) F^{(m+3)}(x)",
+            lambda m: (gmul(gx(2 * m + 1), *[gfm(m + j) for j in range(4)]),
+                       gadd(gmul(gx(m), gfm(m), gfm(m + 2), gfm(m + 3)),
+                            gneg(gmul(gfm(m + 1), gfm(m + 3))),
+                            gmul(gfm(m), gfm(m + 3)))))
+    _family(factor, "gf", "gf_factor", {"m": (1, 2)}, "\\big(F^{(m+1)}(x)-F^{(m)}(x)\\big)",
+            lambda m: (gmul(gx(2 * m + 2), *[gfm(m + j) for j in range(4)]),
+                       gmul(gsub(gfm(m + 1), gfm(m)),
+                            gsub(gfm(m + 3), gfm(m + 2)))))
+    out += [entry for pair in zip(quad, factor) for entry in pair]
     f, t, q, p = gseq("F"), gseq("T"), gseq("Q"), gseq("P")
     out.append(_gf("gf_remark_PQ", gsub(p, q), gmul(gx(4), p, q),
                    quote="P(x)-Q(x)=x^4P(x)Q(x)"))

@@ -518,13 +518,14 @@ def gf_of(spec) -> RatFun:
     built once per process and kept in ``_GFS``.
 
     Denominator D = 1 - sum(c_j x^j); numerator (seeds * D) mod x^len(seeds),
-    so that the series coefficients reproduce the sequence exactly.
+    forming only those terms, so the series reproduces the sequence exactly.
     """
     g = _GFS.get((spec, 0))
     if g is None:
-        den = Poly([1] + [-c for c in spec.coeffs])
-        num = (Poly(spec.seeds) * den).coeffs[:len(spec.seeds)]
-        g = _GFS[(spec, 0)] = RatFun(Poly(num), den)
+        den, seeds = [1] + [-c for c in spec.coeffs], spec.seeds
+        num = [sum(seeds[j] * den[k - j] for j in range(max(0, k + 1 - len(den)), k + 1))
+               for k in range(len(seeds))]
+        g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den))
     return g
 
 

@@ -174,6 +174,7 @@ def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
     ["search", "--m", "2", "--max-k", "1000000000"],
     ["search", "--m", "2", "--max-span", "1000000000"],
     ["search", "--m", "2", "--l-window", "1000000000"],
+    ["solve", "--factors", "F60,F61", "--oracle-n", "0"],  # summed order 121
 ])
 def test_inputs_above_the_caps_exit_2(capsys, argv):
     code, out = run(capsys, *argv)

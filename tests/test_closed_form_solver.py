@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from mstep import closed_form_solver as solver
 from mstep import expressions as ex
 from mstep.closed_form_solver import (
     CaseNotApplicable,
@@ -121,6 +123,20 @@ def test_derive_case_hexanacci_tetranacci():
     assert ex.evaluate(d.identity.lhs, 8) == 8
     conv_part = [t for t in d.identity.rhs.terms if isinstance(t, ex.ConvAtom)][0]
     assert ex.evaluate(conv_part, 8) == 4
+
+
+def test_derive_case_proves_its_aligned_identity(monkeypatch):
+    # Drop the last other-term from derive_case(4, 2)'s aligned identity; its
+    # closed form is untouched, so only the identity's GF proof can object.
+    derive_div_case = solver._derive_div_case
+
+    def lose_an_other_term(*args, **kwargs):
+        ident, closed = derive_div_case(*args, **kwargs)
+        return dataclasses.replace(ident, rhs=ex.add(*ident.rhs.terms[:-1])), closed
+
+    monkeypatch.setattr(solver, "_derive_div_case", lose_an_other_term)
+    with pytest.raises(AssertionError, match="GF proof"):
+        derive_case(4, 2)
 
 
 def test_derive_case_reproduces_shifted_fq_kernel():

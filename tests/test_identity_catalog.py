@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -48,6 +49,25 @@ def test_exported_catalog_loads_back_as_built(tmp_path, capsys):
     path = tmp_path / "catalog.json"
     path.write_text(out)
     assert load_manifest(str(path)) == build_identities()
+
+
+# SHA-256 of the exported catalog document: any change to an id, the order,
+# a tree, an n0, a params dict or a quote changes it.  Update it only with a
+# deliberate change to the catalog.
+CATALOG_SHA256 = "5648a589495320c3c27d91a84516c56129b228a82a21df353ec3083d9d63199c"
+
+
+def test_built_catalog_is_pinned_by_its_digest():
+    doc = json.dumps(manifest_document(build_identities()), indent=1)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CATALOG_SHA256
+
+
+def test_every_parameter_appears_in_its_id(catalog):
+    with_params = [i for i in catalog if i.params]
+    assert len(with_params) > 200
+    for ident in with_params:
+        for key, value in ident.params.items():
+            assert f"{key}{value}" in ident.id.split("_"), (ident.id, key, value)
 
 
 def test_tf_convolution_passes_to_200(by_id):
