@@ -11,6 +11,8 @@ of A yields the shift +1 term a_{n+1}, which is exact because such
 sequences vanish at 0).  The polynomial quotient Q, and the polynomial
 left by a non-monomial numerator, go into the finite ``corrections`` map,
 keeping the closed form total on n >= 0 under the one-sided convention.
+The shifts are kept as one ``expressions`` tree, ``ClosedForm.expr``, which
+that module evaluates and compiles; the corrections are added beside it.
 
 ``derive_case`` follows the stacking construction instead: multiplying the
 gap identity repeatedly by x^p and collapsing windows of consecutive terms
@@ -39,7 +41,7 @@ from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
 from .identity_catalog import Identity, verify_symbolic
 from .sequences import handle, make_mstep, mstep_name, resolve
-from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, combo_gf, gf_of, poly_gcd
+from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, gf_of, poly_gcd
 
 
 class SolverError(Exception):
@@ -92,13 +94,15 @@ class ClosedForm:
     oracle_max_n: int = -1
 
     def evaluate(self, n: int):
-        denom = self._denominator
-        acc = 0
-        for spec, combo in self.parts:
-            h = handle(spec)
-            for s, c in combo.items():
-                acc += c.numerator * (denom // c.denominator) * h.term(n + s)
-        return Fraction(acc, denom) + self.corrections.get(n, 0)
+        return ex.evaluate(self.expr, n) + self.corrections.get(n, 0)
+
+    @cached_property
+    def expr(self) -> ex.SeqExpr:
+        """The parts in render order, (1/d)(sum of (c*d) seq_{n+s}), d = ``_denominator``."""
+        d = self._denominator
+        terms = [ex.scale(combo[s] * d, ex.term(spec, s))
+                 for spec, combo in self.parts for s in sorted(combo, reverse=True)]
+        return ex.scale(Fraction(1, d), ex.add(*terms)) if terms else ex.const(0)
 
     @cached_property
     def _denominator(self) -> int:
@@ -107,22 +111,19 @@ class ClosedForm:
         return math.lcm(*(c.denominator for _, combo in self.parts for c in combo.values()))
 
     def gf(self) -> RatFun:
-        """Generating function rebuilt from the printed parts and corrections,
-        one fraction per part (see ``combo_gf``)."""
-        acc = RatFun(Poly())
-        if self.corrections:
-            top = max(self.corrections)
-            acc = RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
-        for spec, combo in self.parts:
-            acc = acc + combo_gf(spec, combo)
-        return acc
+        """Generating function of ``expr`` plus the corrections polynomial."""
+        top = max(self.corrections, default=-1)
+        fixed = RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
+        return ex.gf_of_expr(self.expr) + fixed
 
     def check_oracle(self, n_max: int = 100) -> bool:
         """Compare against the brute-force convolution for 0 <= n <= n_max."""
         if n_max < 0:
             raise ValueError(f"oracle range 0..{n_max} is empty, nothing to check")
+        column = ex.evaluate_range(self.expr, n_max + 1)
         values = conv_multi_prefix(self.factors, n_max)
-        ok = all(self.evaluate(n) == v for n, v in enumerate(values))
+        ok = all(c + self.corrections.get(n, 0) == v
+                 for n, (c, v) in enumerate(zip(column, values)))
         if ok:
             self.oracle_max_n = max(self.oracle_max_n, n_max)
         return ok

@@ -32,6 +32,8 @@ integral and a Fraction only when it is not, the rule of
 ``gf_of_expr`` compiles a tree to a canonical RatFun where possible;
 expressions outside the rational fragment (e.g. the pointwise product of
 two recurrence sequences) yield a :class:`NotCompilable` value instead.
+A ``Sum`` adds the numerators of children over one denominator with one
+gcd, uses a lone child as it is and adds these groups by Henrici.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
 ``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs).  None is bounded;
 :func:`clear_caches` empties all four.
@@ -65,7 +67,8 @@ class SeqExpr:
 
 @dataclass(frozen=True)
 class Term(SeqExpr):
-    seq: str
+    seq: object
+    """A name ``sequences.resolve`` knows, or a ``RecurrenceSpec`` itself."""
     shift: int = 0
 
 
@@ -113,7 +116,7 @@ class ConvAtom(SeqExpr):
 
 # -- builders ----------------------------------------------------------------
 
-def term(seq: str, shift: int = 0) -> Term:
+def term(seq, shift: int = 0) -> Term:
     return Term(seq, shift)
 
 
@@ -343,13 +346,14 @@ def gf_of_expr(expr: SeqExpr):
     if isinstance(expr, Const):
         return RatFun(Poly.const(expr.value)) * _RF_ONES
     if isinstance(expr, Sum):
-        acc = RatFun(Poly())
+        groups: dict = {}  # denominator -> the children's GFs over it
         for t in expr.terms:
             g = gf_of_expr(t)
             if isinstance(g, NotCompilable):
                 return g
-            acc = acc + g
-        return acc
+            groups.setdefault(g.den, []).append(g)
+        return sum(gs[0] if len(gs) == 1 else RatFun(sum((g.num for g in gs[1:]), gs[0].num), den)
+                   for den, gs in groups.items())
     if isinstance(expr, Scale):
         g = gf_of_expr(expr.child)
         if isinstance(g, NotCompilable):
@@ -460,6 +464,16 @@ def _shift(value) -> int:
     return value
 
 
+def number_from_json(value):
+    """A manifest number (a JSON int or float, or a string such as "3/4")
+    as an int or a Fraction.  Exponent form such as "1e5000" is refused:
+    ``Fraction`` expands it in full, past Python's limit on int/str
+    conversion, so one short string could build an integer of any size."""
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"number in exponent form: {value!r}")
+    return _coeff(value)
+
+
 def expr_from_json(node, depth: int = 1) -> SeqExpr:
     if depth > MAX_DEPTH:
         raise ValueError(f"expression tree deeper than the cap {MAX_DEPTH}")
@@ -470,20 +484,20 @@ def expr_from_json(node, depth: int = 1) -> SeqExpr:
     if tag == "npoly":
         if not isinstance(node[1], list):
             raise ValueError(f"npoly operand is not a coefficient list: {node[1]!r}")
-        return npoly(*node[1])
+        return NPoly(tuple(number_from_json(c) for c in node[1]))
     if tag == "alt":
         return Alt(_shift(node[1]))
     if tag == "geo2":
         return Geo2(_shift(node[1]))
     if tag == "const":
-        return const(node[1])
+        return Const(number_from_json(node[1]))
     if tag in ("sum", "product"):
         if len(node) < 2:
             raise ValueError(f"{tag} needs at least one operand")
         parts = tuple(expr_from_json(t, depth + 1) for t in node[1:])
         return Sum(parts) if tag == "sum" else Product(parts)
     if tag == "scale":
-        return Scale(_coeff(node[1]), expr_from_json(node[2], depth + 1))
+        return Scale(number_from_json(node[1]), expr_from_json(node[2], depth + 1))
     if tag == "conv":
         return conv(*(expr_from_json(k, depth + 1) for k in node[1]), offset=_shift(node[2]))
     raise ValueError(f"unknown expression tag: {tag!r}")

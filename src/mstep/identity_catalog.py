@@ -8,7 +8,7 @@ which the equality is claimed.  Entries come in two kinds:
   canonical rational-function equality (allowing a polynomial discrepancy
   below n0);
 * ``"gf"``   -- both sides are generating-function trees verified by exact
-  RatFun equality.
+  RatFun equality; n0 is always 0.
 
 Entries carrying a ``negative`` block are documented misprints: the
 verifier confirms that they fail exactly as recorded.
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import expressions as ex
 from .sequences import resolve
-from .series_algebra import Poly, RatFun, agrees_from, combo_gf, gf_of
+from .series_algebra import Poly, RatFun, agrees_from, gf_of
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,20 @@ class VerifyReport:
 def kernel_check(spec, combo: dict, corrections: dict | None = None, n0: int = 0) -> bool:
     """Decide whether sum_k combo[k] * seq_{n+k} + corrections(n) == 0 for all n >= n0.
 
-    Decided by generating functions, with no numeric window: the GF of the
-    shift combination (``combo_gf``) plus the corrections polynomial must be
-    zero or a polynomial of degree < n0 (``agrees_from``).
+    Decided by generating functions, with no numeric window: the shift
+    combination as one ``expressions`` sum (``gf_of_expr``) plus the
+    corrections polynomial must be zero or a polynomial of degree < n0.
 
     Library API with no caller in the package, kept because
     ``perfbench/tracer.py`` traces it by name until the benchmark refresh.
     """
-    spec = resolve(spec) if isinstance(spec, str) else spec
     corrections = corrections or {}
     top = max(corrections, default=-1)
-    fixed = RatFun(Poly([corrections.get(n, 0) for n in range(top + 1)]))
-    return agrees_from(combo_gf(spec, combo) + fixed, 0, n0)
+    total = RatFun(Poly([corrections.get(n, 0) for n in range(top + 1)]))
+    terms = [ex.scale(c, ex.term(spec, s)) for s, c in combo.items()]
+    if terms:
+        total = total + ex.gf_of_expr(ex.add(*terms))
+    return agrees_from(total, 0, n0)
 
 
 # -- verification --------------------------------------------------------------
@@ -182,7 +183,7 @@ def compile_gf(tree) -> RatFun:
     if tag == "seqgf":
         return gf_of(resolve(tree[1]))
     if tag == "poly":
-        return RatFun(Poly([Fraction(c) for c in tree[1]]))
+        return RatFun(Poly([ex.number_from_json(c) for c in tree[1]]))
     if tag == "add":
         acc = compile_gf(tree[1])
         for sub in tree[2:]:
@@ -248,7 +249,7 @@ def _check_gf_tree(tree, depth: int = 1) -> None:
         if not isinstance(tree[1], list):
             raise ValueError(f"poly operand is not a coefficient list: {tree[1]!r}")
         for c in tree[1]:
-            Fraction(c)
+            ex.number_from_json(c)
     else:
         for sub in tree[1:]:
             _check_gf_tree(sub, depth + 1)
@@ -273,6 +274,8 @@ def identity_from_json(entry: dict) -> Identity:
         raise ValueError(f"id is not a string: {id_!r}")
     if not _is_index(n0):
         raise ValueError(f"n0 is not an int >= 0: {n0!r}")
+    if kind == "gf" and n0 != 0:
+        raise ValueError(f"a gf entry states an equation of power series, so n0 is 0, not {n0}")
     if negative is not None:
         fail = negative["first_fail"]
         if not (_is_index(fail["n"]) and isinstance(fail["lhs"], str)
@@ -296,7 +299,8 @@ def load_manifest(path=None) -> list:
 
     A file is validated whole before anything is verified: a malformed
     document or entry raises ValueError naming the entry, as do numbers
-    such as "1/0" or 1e400 and trees above ``expressions.MAX_DEPTH`` or too
+    such as "1/0", 1e400 or "1e5000" (``expressions.number_from_json``),
+    a gf entry with n0 != 0 and trees above ``expressions.MAX_DEPTH`` or too
     deep to parse.  Either way, a repeated id raises ValueError.
     """
     if path is None:

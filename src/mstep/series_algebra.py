@@ -540,11 +540,3 @@ def shifted_gf(spec, shift: int) -> RatFun:
         g = _GFS[(spec, shift)] = shift_series(gf_of(spec), shift)
     return g
 
-
-def combo_gf(spec, combo: dict) -> RatFun:
-    """Generating function of n -> sum_s combo[s] * a_{n+s}, one-sided: one
-    sum of the shifted numerators over their common denominator."""
-    num = P_ZERO
-    for s, c in combo.items():
-        num = num + shifted_gf(spec, s).num * c
-    return RatFun(num, gf_of(spec).den)

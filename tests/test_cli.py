@@ -148,10 +148,11 @@ def test_table_on_an_empty_grid_is_an_error_not_a_pass(capsys, max_sum):
 
 
 def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
-    from mstep.closed_form_solver import ClosedForm
+    from mstep import closed_form_solver
 
-    real = ClosedForm.evaluate
-    monkeypatch.setattr(ClosedForm, "evaluate", lambda self, n: real(self, n) + 1)
+    real = closed_form_solver.conv_multi_prefix
+    monkeypatch.setattr(closed_form_solver, "conv_multi_prefix",
+                        lambda specs, n_max: [v + 1 for v in real(specs, n_max)])
     code, out = run(capsys, "solve", "--factors", "F,T", "--format", "text")
     assert code == 1
     assert out == "- F[n+1] - F[n] + T[n+1] + T[n] + T[n-1]\n"
@@ -308,6 +309,7 @@ _FAIL = {"n": 5, "lhs": "5", "rhs": "6"}
                  id="first_fail-lhs-int"),
     pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "rhs": None}}},
                  id="first_fail-rhs-null"),
+    pytest.param("gf", None, {"n0": 3}, id="gf-n0"),
 ])
 def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs, fields):
     rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]
@@ -380,15 +382,15 @@ def _one_entry(entry) -> str:
     return json.dumps({"identities": [entry]})
 
 
-# "@" stands for the number under test: "1/0" (a zero denominator) or a JSON
-# 1e400 (infinity after parsing).
+# "@" stands for the number under test: "1/0" (a zero denominator), a JSON
+# 1e400 (infinity after parsing) or "1e5000" (exponent form, refused).
 @pytest.mark.parametrize("kind, lhs", [
     pytest.param("seq", ["const", "@"], id="const"),
     pytest.param("seq", ["scale", "@", ["term", "F", 0]], id="scale"),
     pytest.param("seq", ["npoly", ["1", "@"]], id="npoly"),
     pytest.param("gf", ["poly", ["0", "@"]], id="gf-poly"),
 ])
-@pytest.mark.parametrize("number", ['"1/0"', "1e400"])
+@pytest.mark.parametrize("number", ['"1/0"', "1e400", '"1e5000"'])
 def test_manifest_number_that_does_not_convert_is_a_json_error(tmp_path, capsys, kind,
                                                                lhs, number):
     rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]

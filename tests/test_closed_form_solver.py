@@ -18,7 +18,7 @@ from mstep.closed_form_solver import (
 )
 from mstep.convolution_oracle import conv_multi
 from mstep.sequences import handle, make_mstep, resolve
-from mstep.series_algebra import combo_gf, gf_of, poly_gcd, series_coeffs
+from mstep.series_algebra import gf_of, poly_gcd, series_coeffs
 
 
 def reference_fq():
@@ -220,6 +220,27 @@ def test_reconstruction_rejects_a_perturbed_closed_form():
     assert wrong_corr.gf() != product
 
 
+def test_check_oracle_rejects_a_wrong_coefficient_or_correction():
+    lucas = dataclasses.replace(resolve("F"), name="lucas", seeds=(2, 1))
+    cf = solve_conv_multi([lucas, "T"])
+    assert cf.corrections and cf.check_oracle(40)
+    (spec, combo), rest = cf.parts[0], cf.parts[1:]
+    top = max(combo)
+    wrong_coeff = ClosedForm(cf.factors, ((spec, {**combo, top: combo[top] + 1}),) + rest,
+                             cf.corrections)
+    wrong_at_0 = ClosedForm(cf.factors, cf.parts, {0: cf.corrections[0] + 1})
+    wrong_at_top = ClosedForm(cf.factors, cf.parts, {**cf.corrections, 40: Fraction(1, 3)})
+    for wrong in (wrong_coeff, wrong_at_0, wrong_at_top):
+        assert not wrong.check_oracle(40)
+        assert wrong.oracle_max_n == -1
+    # a correction past n_max is outside the checked range
+    late = ClosedForm(cf.factors, cf.parts, {**cf.corrections, 41: Fraction(1)})
+    assert late.check_oracle(40) and late.oracle_max_n == 40
+    assert not late.check_oracle(41) and late.oracle_max_n == 40
+    late_wrong = ClosedForm(wrong_coeff.factors, wrong_coeff.parts, {**cf.corrections, 41: 1})
+    assert not late_wrong.check_oracle(40) and late_wrong.oracle_max_n == -1
+
+
 def test_combo_gf_is_the_one_sided_shift_combination():
     import random
 
@@ -231,7 +252,8 @@ def test_combo_gf_is_the_one_sided_shift_combination():
             combo = {rng.randint(-4, 5): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                      for _ in range(rng.randint(1, 4))}
             want = [sum(c * h.term(n + s) for s, c in combo.items()) for n in range(40)]
-            assert series_coeffs(combo_gf(spec, combo), 40) == want
+            tree = ex.add(*[ex.scale(c, ex.term(spec, s)) for s, c in combo.items()])
+            assert series_coeffs(ex.gf_of_expr(tree), 40) == want
 
 
 def test_table_solves_each_cell_once(monkeypatch):

@@ -122,6 +122,17 @@ def test_gf_of_alt_wrapped_conv():
     assert series_coeffs(g, 30) == ex.evaluate_range(expr, 30)
 
 
+def test_sum_over_one_denominator_takes_one_gcd(monkeypatch):
+    gf_of(sequences.resolve("T"))  # the GF's own gcd is not the sum's
+    calls = []
+    real = series_algebra.poly_gcd
+    monkeypatch.setattr(series_algebra, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    tree = ex.add(*[ex.scale(s + 3, ex.term("T", s)) for s in range(-2, 5)])
+    g = ex.gf_of_expr(tree)
+    assert len(calls) <= 1
+    assert series_coeffs(g, 30) == ex.evaluate_range(tree, 30)
+
+
 def test_json_roundtrip():
     exprs = [
         fq_rhs(),

@@ -1,6 +1,7 @@
 """Property tests for the expression evaluator: on random trees inside the
 rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
-compiled generating function, and every integral value is an int.  The
+compiled generating function, and every integral value is an int.  A sum's
+GF equals the one-at-a-time Henrici fold of its children's GFs.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
 so does every multi-kernel convolution table of the catalog."""
 
@@ -48,6 +49,21 @@ def test_evaluate_range_is_the_series_of_the_gf(e):
     values = ex.evaluate_range(e, LENGTH)
     assert values == series_coeffs(ex.gf_of_expr(e), LENGTH)
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
+
+
+seq_terms = st.builds(ex.Term, st.sampled_from(["F", "T", "pell"]), shifts)
+summands = st.one_of(seq_terms, st.builds(ex.Scale, scalars.filter(bool), seq_terms),
+                     consts, alts)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(summands, min_size=2, max_size=8))
+def test_sum_gf_equals_the_henrici_fold_of_its_children(children):
+    """The reference adds the children's GFs one at a time by RatFun's +."""
+    fold = ex.gf_of_expr(children[0])
+    for child in children[1:]:
+        fold = fold + ex.gf_of_expr(child)
+    assert ex.gf_of_expr(ex.Sum(tuple(children))) == fold
 
 
 def direct_product(a, b):
