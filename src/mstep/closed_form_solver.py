@@ -302,9 +302,10 @@ def equivalent(cf: ClosedForm, expr, n0: int = 0) -> bool:
     of degree < n0 (``agrees_from``).  Raises ValueError when ``expr`` is
     outside the rational fragment ``gf_of_expr`` compiles.
     """
-    g = ex.gf_of_expr(expr)
-    if isinstance(g, ex.NotCompilable):
-        raise ValueError(f"reference expression does not compile: {g.reason}")
+    try:
+        g = ex.gf_of_expr(expr)
+    except ex.NotCompilable as exc:
+        raise ValueError(f"reference expression does not compile: {exc.reason}") from exc
     return agrees_from(cf.gf(), g, n0)
 
 

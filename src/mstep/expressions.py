@@ -21,17 +21,21 @@ tabulates a whole prefix of values column by column and turns ConvAtoms
 into memoised convolution tables (columns are not memoised);
 ``evaluate(expr, n)`` is a view of it with a memo of the root column.
 A table multiplies in each further kernel through the denominator D of
-the kernel's generating function (D = 1 when it does not compile): with
-E = D*kernel, which has finite support when D is right, the table is
-(table*E)/D, so it costs linear, not quadratic, time in its length.
+the kernel's generating function (D = 1 when ``gf_of_expr`` raises
+NotCompilable for it): with E = D*kernel, which has finite support when
+D is right, the table is (table*E)/D, so it costs linear, not quadratic,
+time in its length.
 Every number (node scalars and column values alike) is an int when it is
 integral and a Fraction only when it is not, the rule of
 ``series_algebra``.  Brute-force simplex enumeration lives only in
 :mod:`mstep.convolution_oracle`.
 
-``gf_of_expr`` compiles a tree to a canonical RatFun where possible;
-expressions outside the rational fragment (e.g. the pointwise product of
-two recurrence sequences) yield a :class:`NotCompilable` value instead.
+``gf_of_expr`` compiles a tree to a canonical RatFun, one rule per node
+kind, and raises :class:`NotCompilable` where the rational fragment ends:
+a pointwise product with two non-scalar factors (e.g. F_n * T_n).  The
+scalars Const, Alt and NPoly share one rule, alone or in a Product: from
+the GF of the one other factor, or 1/(1-x) when there is none, apply each
+in turn (c*g, +-g(-x), a_n -> p(n) a_n).
 A ``Sum`` adds the numerators of children over one denominator with one
 gcd, uses a lone child as it is and adds these groups by Henrici.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
@@ -266,8 +270,10 @@ def _conv_table(kernels: tuple, length: int) -> list:
     else:
         out = evaluate_range(key[0], length)
         for kern in key[1:]:
-            hint = gf_of_expr(kern)
-            den = P_ONE if isinstance(hint, NotCompilable) else hint.den
+            try:
+                den = gf_of_expr(kern).den
+            except NotCompilable:
+                den = P_ONE
             out = _convolve(out, evaluate_range(kern, length), den)
     _CONV_CACHE[key] = out
     return out
@@ -302,22 +308,19 @@ def _convolve(a: list, b: list, den: Poly) -> list:
 # -- compilation to generating functions -----------------------------------------
 
 
-class NotCompilable:
-    """Returned by gf_of_expr for expressions outside the rational fragment."""
-
-    __slots__ = ("reason",)
+class NotCompilable(ValueError):
+    """Raised by gf_of_expr where the rational fragment ends: a pointwise
+    product with two non-scalar factors.  It prints as NotCompilable('<reason>')."""
 
     def __init__(self, reason: str = ""):
+        super().__init__(reason)
         self.reason = reason
 
-    def __repr__(self):
-        return f"NotCompilable({self.reason!r})"
-
-    def __bool__(self):
-        return False
+    __str__ = ValueError.__repr__
 
 
 _RF_ONES = RatFun(P_ONE, Poly((1, -1)))  # 1/(1-x)
+_SCALARS = (Const, Alt, NPoly)  # pointwise factors that rescale a_n by a function of n
 
 
 def _apply_npoly(coeffs: tuple, g: RatFun) -> RatFun:
@@ -331,90 +334,42 @@ def _apply_npoly(coeffs: tuple, g: RatFun) -> RatFun:
     return acc
 
 
-def gf_of_expr(expr: SeqExpr):
-    """Compile to a canonical RatFun, or return a NotCompilable value."""
+def gf_of_expr(expr: SeqExpr) -> RatFun:
+    """Compile to a canonical RatFun.  Raises NotCompilable outside the
+    rational fragment and TypeError on a value that is not a node."""
     if isinstance(expr, Term):
         return shifted_gf(resolve(expr.seq), expr.shift)
-    if isinstance(expr, NPoly):
-        return _apply_npoly(expr.coeffs, _RF_ONES)
-    if isinstance(expr, Alt):
-        sign = 1 if expr.offset % 2 == 0 else -1
-        return RatFun(Poly.const(sign), Poly((1, 1)))
     if isinstance(expr, Geo2):
         c = Fraction(2) ** expr.offset
         return RatFun(Poly.const(c), Poly((1, -2)))
-    if isinstance(expr, Const):
-        return RatFun(Poly.const(expr.value)) * _RF_ONES
     if isinstance(expr, Sum):
         groups: dict = {}  # denominator -> the children's GFs over it
         for t in expr.terms:
             g = gf_of_expr(t)
-            if isinstance(g, NotCompilable):
-                return g
             groups.setdefault(g.den, []).append(g)
         return sum(gs[0] if len(gs) == 1 else RatFun(sum((g.num for g in gs[1:]), gs[0].num), den)
                    for den, gs in groups.items())
     if isinstance(expr, Scale):
-        g = gf_of_expr(expr.child)
-        if isinstance(g, NotCompilable):
-            return g
-        return RatFun(Poly.const(expr.factor)) * g
-    if isinstance(expr, Product):
-        return _compile_product(expr)
+        return expr.factor * gf_of_expr(expr.child)
     if isinstance(expr, ConvAtom):
-        return _compile_conv(expr)
-    raise TypeError(f"not a SeqExpr: {expr!r}")
-
-
-def _compile_product(expr: Product):
-    scalar = Fraction(1)
-    alt_count = 0
-    alt_offset = 0
-    n_poly = None
-    bases = []
-    for f in expr.factors:
-        if isinstance(f, Const):
-            scalar *= f.value
-        elif isinstance(f, Alt):
-            alt_count += 1
-            alt_offset += f.offset
-        elif isinstance(f, NPoly):
-            n_poly = Poly(f.coeffs) if n_poly is None else n_poly * Poly(f.coeffs)
-        else:
-            bases.append(f)
+        gfs = [gf_of_expr(k) for k in expr.kernels]
+        s = math.prod(gfs[1:], start=gfs[0]) if len(gfs) > 1 else gfs[0] * _RF_ONES
+        return shift_series(s, expr.offset)
+    if not isinstance(expr, (Product, *_SCALARS)):
+        raise TypeError(f"not a SeqExpr: {expr!r}")
+    factors = expr.factors if isinstance(expr, Product) else (expr,)
+    bases = [f for f in factors if not isinstance(f, _SCALARS)]
     if len(bases) > 1:
-        return NotCompilable("pointwise product of two non-scalar sequences")
-    if bases:
-        g = gf_of_expr(bases[0])
-        if isinstance(g, NotCompilable):
-            return g
-    else:
-        g = _RF_ONES
-    if alt_count % 2 == 1:
-        g = g.substitute_neg()
-    if alt_offset % 2 == 1:
-        scalar = -scalar
-    if n_poly is not None:
-        g = _apply_npoly(n_poly.coeffs, g)
-    if scalar != 1:
-        g = RatFun(Poly.const(scalar)) * g
+        raise NotCompilable("pointwise product of two non-scalar sequences")
+    g = gf_of_expr(bases[0]) if bases else _RF_ONES
+    for f in factors:
+        if isinstance(f, Const):
+            g = f.value * g
+        elif isinstance(f, Alt):
+            g = g.substitute_neg() if f.offset % 2 == 0 else -g.substitute_neg()
+        elif isinstance(f, NPoly):
+            g = _apply_npoly(f.coeffs, g)
     return g
-
-
-def _compile_conv(expr: ConvAtom):
-    gfs = []
-    for k in expr.kernels:
-        g = gf_of_expr(k)
-        if isinstance(g, NotCompilable):
-            return g
-        gfs.append(g)
-    if len(gfs) == 1:
-        s = gfs[0] * _RF_ONES
-    else:
-        s = gfs[0]
-        for g in gfs[1:]:
-            s = s * g
-    return shift_series(s, expr.offset)
 
 
 # -- JSON serialization ---------------------------------------------------------------
@@ -468,7 +423,10 @@ def number_from_json(value):
     """A manifest number (a JSON int or float, or a string such as "3/4")
     as an int or a Fraction.  Exponent form such as "1e5000" is refused:
     ``Fraction`` expands it in full, past Python's limit on int/str
-    conversion, so one short string could build an integer of any size."""
+    conversion, so one short string could build an integer of any size.
+    A JSON true or false is refused too, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"number is a JSON boolean: {value!r}")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"number in exponent form: {value!r}")
     return _coeff(value)

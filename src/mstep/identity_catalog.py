@@ -95,14 +95,21 @@ def verify_numeric(identity: Identity, n_max: int) -> VerifyReport:
 
 
 def identity_gfs(identity: Identity) -> tuple:
-    """Both sides as canonical RatFuns; a side outside the rational fragment
-    comes back as an ``expressions.NotCompilable`` value."""
+    """Both sides as canonical RatFuns; for a side outside the rational
+    fragment, the ``expressions.NotCompilable`` that ``gf_of_expr`` raised."""
     if identity.kind == "gf":
         try:
             return compile_gf(identity.lhs), compile_gf(identity.rhs)
         except ValueError as exc:
             raise ValueError(f"{identity.id}: {exc}") from exc
-    return ex.gf_of_expr(identity.lhs), ex.gf_of_expr(identity.rhs)
+    return _gf_or_failure(identity.lhs), _gf_or_failure(identity.rhs)
+
+
+def _gf_or_failure(expr):
+    try:
+        return ex.gf_of_expr(expr)
+    except ex.NotCompilable as exc:
+        return exc
 
 
 def verify_symbolic(identity: Identity) -> VerifyReport | None:

@@ -237,6 +237,22 @@ def test_manifest_override(tmp_path, capsys):
     assert code == 0 and "PASS tiny" in out
 
 
+def test_manifest_side_that_does_not_compile(tmp_path, capsys):
+    """gfcheck prints the side that does not compile and exits 1;
+    verify --symbolic falls back to the numeric check."""
+    path = tmp_path / "hadamard.json"
+    path.write_text(json.dumps({"identities": [{
+        "id": "hadamard", "kind": "seq", "n0": 0,
+        "lhs": ["product", ["term", "F", 0], ["term", "T", 0]], "rhs": ["term", "F", 0]}]}))
+    code, out = run(capsys, "gfcheck", "--id", "hadamard", "--manifest", str(path))
+    assert code == 1 and out == (
+        "lhs: NotCompilable('pointwise product of two non-scalar sequences')\n"
+        "rhs: x/(1 - x - x^2)\n"
+        "verdict: not-compilable\n")
+    code, out = run(capsys, "verify", "--all", "--symbolic", "--manifest", str(path))
+    assert code == 1 and out.startswith("FAIL hadamard (numeric) first_failure=")
+
+
 def test_negative_oracle_n_is_an_error_not_a_pass(capsys):
     code, out = run(capsys, "table", "--max", "4", "--oracle-n", "-1")
     doc = json.loads(out)
@@ -383,14 +399,15 @@ def _one_entry(entry) -> str:
 
 
 # "@" stands for the number under test: "1/0" (a zero denominator), a JSON
-# 1e400 (infinity after parsing) or "1e5000" (exponent form, refused).
+# 1e400 (infinity after parsing), "1e5000" (exponent form, refused) or a
+# JSON true (a boolean, not the number 1).
 @pytest.mark.parametrize("kind, lhs", [
     pytest.param("seq", ["const", "@"], id="const"),
     pytest.param("seq", ["scale", "@", ["term", "F", 0]], id="scale"),
     pytest.param("seq", ["npoly", ["1", "@"]], id="npoly"),
     pytest.param("gf", ["poly", ["0", "@"]], id="gf-poly"),
 ])
-@pytest.mark.parametrize("number", ['"1/0"', "1e400", '"1e5000"'])
+@pytest.mark.parametrize("number", ['"1/0"', "1e400", '"1e5000"', "true"])
 def test_manifest_number_that_does_not_convert_is_a_json_error(tmp_path, capsys, kind,
                                                                lhs, number):
     rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]

@@ -5,6 +5,7 @@ import pytest
 from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
+from mstep.identity_catalog import Identity, verify
 from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
@@ -104,8 +105,38 @@ def test_gf_of_npoly_times_term():
 
 
 def test_pointwise_product_of_sequences_not_compilable():
-    g = ex.gf_of_expr(ex.mul(ex.term("F"), ex.term("T")))
-    assert isinstance(g, ex.NotCompilable)
+    with pytest.raises(ex.NotCompilable, match="pointwise product"):
+        ex.gf_of_expr(ex.mul(ex.term("F"), ex.term("T")))
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(object(), id="object"),
+    pytest.param(RatFun(1), id="ratfun"),
+    pytest.param(ex.Product((ex.const(2), RatFun(1))), id="scalar-times-ratfun"),
+    pytest.param(ex.Product((ex.alt(1), object())), id="alt-times-object"),
+])
+def test_a_value_that_is_not_a_node_is_a_type_error(value):
+    with pytest.raises(TypeError, match="not a SeqExpr"):
+        ex.gf_of_expr(value)
+    with pytest.raises(TypeError, match="not a SeqExpr"):
+        ex.evaluate_range(value, 5)
+
+
+_HADAMARD = ex.mul(ex.term("F"), ex.term("T"))
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(ex.add(ex.term("F"), _HADAMARD), id="sum"),
+    pytest.param(ex.scale(3, _HADAMARD), id="scale"),
+    pytest.param(ex.conv(ex.term("F"), _HADAMARD), id="conv-kernel"),
+    pytest.param(ex.mul(ex.alt(1), ex.npoly(1, 2), ex.conv(_HADAMARD)), id="scaled-conv"),
+])
+def test_a_nested_two_base_product_is_not_compilable(tree):
+    with pytest.raises(ex.NotCompilable, match="pointwise product") as caught:
+        ex.gf_of_expr(tree)
+    assert isinstance(caught.value, ValueError)
+    report = verify(Identity("nested", "seq", tree, tree, 0), 30, symbolic=True)
+    assert report.mode == "numeric" and report.passed
 
 
 def test_gf_of_positive_offset_conv():

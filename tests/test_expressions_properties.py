@@ -35,6 +35,8 @@ def _extend(children):
         st.builds(ex.Scale, scalars.filter(bool), children),
         st.builds(lambda fs, base: ex.Product((*fs, base)),
                   st.lists(pointwise_scalars, min_size=1, max_size=2), children),
+        # no base: the scalars rescale 1/(1-x)
+        st.lists(pointwise_scalars, min_size=2, max_size=3).map(lambda fs: ex.Product(tuple(fs))),
         st.builds(lambda ks, c: ex.ConvAtom(tuple(ks), c),
                   st.lists(children, min_size=1, max_size=3), shifts),
     )
