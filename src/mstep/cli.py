@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 
+# Layers as modules: mstep loads each on its first attribute read, so a
+# command runs only the layers it uses.
 from . import closed_form_solver as solver
+from . import convolution_oracle as oracle
 from . import expressions as ex
 from . import identity_catalog as catalog
-from . import pattern_search
-from .convolution_oracle import conv_multi_prefix
-from .sequences import handle, resolve
-from .series_algebra import NotAPowerSeries, agrees_from
+from . import pattern_search, sequences
+from . import series_algebra as sa
 
 # Caps on numeric input, so that one invocation stays within seconds and
 # bounded memory; a larger value exits 2.  Times at each cap, 2-vCPU VM,
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.run(args)
-    except (solver.SolverError, ValueError, KeyError, NotAPowerSeries, OSError) as exc:
+    except (solver.SolverError, ValueError, KeyError, OSError) as exc:
         detail = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": type(exc).__name__, "detail": detail}))
         return 2
@@ -145,11 +146,11 @@ def _cmd_seq(args) -> int:
     _at_most(args.stop, MAX_SEQ_INDEX, "--to")
     _at_least(args.stop, args.start, "--to")
     _at_most(args.stop - args.start + 1, MAX_SEQ_TERMS, "term count --to - --from + 1")
-    h = handle(args.name)
+    h = sequences.handle(args.name)
     terms = [h.term(n) for n in range(args.start, args.stop + 1)]
     if args.format == "json":
         print(json.dumps({
-            "name": resolve(args.name).name,
+            "name": sequences.resolve(args.name).name,
             "from": args.start,
             "to": args.stop,
             "terms": [str(t) for t in terms],
@@ -163,10 +164,10 @@ def _cmd_conv(args) -> int:
     _at_most(args.n, MAX_CONV_N, "--n")
     _at_least(args.n, 0, "--n")
     factors = _factors(args)
-    values = conv_multi_prefix(factors, args.n)
+    values = oracle.conv_multi_prefix(factors, args.n)
     if args.format == "json":
         print(json.dumps({
-            "factors": [resolve(f).name for f in factors],
+            "factors": [sequences.resolve(f).name for f in factors],
             "values": [str(v) for v in values],
         }))
     else:
@@ -218,7 +219,7 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     factors = _factors(args)
-    order = sum(resolve(f).order for f in factors)
+    order = sum(sequences.resolve(f).order for f in factors)
     _at_most(order, MAX_SOLVE_ORDER, "summed order of the factors")
     cf = solver.solve_conv_multi(factors)
     oracle_ok = cf.check_oracle(args.oracle_n)
@@ -277,7 +278,7 @@ def _cmd_gfcheck(args) -> int:
     if isinstance(left, ex.NotCompilable) or isinstance(right, ex.NotCompilable):
         print("verdict: not-compilable")
         return 1
-    same = agrees_from(left, right, ident.n0)
+    same = sa.agrees_from(left, right, ident.n0)
     print(f"verdict: {'equal' if same else 'different'}")
     return 0 if same else 1
 

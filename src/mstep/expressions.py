@@ -319,7 +319,7 @@ class NotCompilable(ValueError):
     __str__ = ValueError.__repr__
 
 
-_RF_ONES = RatFun(P_ONE, Poly((1, -1)))  # 1/(1-x)
+_RF_ONES = RatFun._coprime(P_ONE, Poly((1, -1)))  # 1/(1-x)
 _SCALARS = (Const, Alt, NPoly)  # pointwise factors that rescale a_n by a function of n
 
 
@@ -377,6 +377,8 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
 
 def expr_to_json(expr: SeqExpr):
     if isinstance(expr, Term):
+        if not isinstance(expr.seq, str):
+            raise TypeError(f"only a named sequence has a JSON form: {expr.seq!r}")
         return ["term", expr.seq, expr.shift]
     if isinstance(expr, NPoly):
         return ["npoly", [str(c) for c in expr.coeffs]]

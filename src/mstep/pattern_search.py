@@ -29,7 +29,7 @@ smallest l, so the output is free of duplicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -37,13 +37,10 @@ from math import gcd
 from .sequences import handle, make_mstep
 
 
-@dataclass(frozen=True)
-class PatternSolution:
-    m: int
-    K: tuple
-    p: int
-    N: Fraction
-    l: int
+class PatternSolution(namedtuple("PatternSolution", "m K p N l")):
+    """sum_{k in K} sum_{j<p} F^(m)_{n+j+k} == N * F^(m)_{n+l} for all n >= 0."""
+
+    __slots__ = ()
 
     @property
     def integer_n(self) -> bool:

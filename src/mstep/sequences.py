@@ -14,7 +14,7 @@ used throughout the package (including Jacobsthal, Pell and powers of 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Short names for the m-step family.  Orders outside this table get a
 # generic "F<m>" name (e.g. "F9").
@@ -50,30 +50,32 @@ _ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(namedtuple("RecurrenceSpec", "name order coeffs seeds")):
     """Defining data of one sequence: a_n = sum(coeffs[j-1] * a_{n-j}).
 
     ``seeds`` holds a_0 .. a_{len(seeds)-1}; the recurrence takes over from
     index ``len(seeds)`` on.  ``len(seeds)`` equals ``order`` except for the
     order-1 m-step sequence, whose support starts at index 1 and therefore
-    needs the extra seed a_1 = 1.
+    needs the extra seed a_1 = 1.  A named tuple, so equality and hash are
+    by fields; ``_replace`` validates like the constructor.
     """
 
-    name: str
-    order: int
-    coeffs: tuple
-    seeds: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __new__(cls, name: str, order: int, coeffs: tuple, seeds: tuple):
+        if order < 1:
             raise ValueError("recurrence order must be >= 1")
-        if len(self.coeffs) != self.order:
+        if len(coeffs) != order:
             raise ValueError("coeffs length must equal the order")
-        if len(self.seeds) < self.order:
+        if len(seeds) < order:
             raise ValueError("need at least `order` seed values")
-        if self.coeffs[-1] == 0:
+        if coeffs[-1] == 0:
             raise ValueError("top coefficient must be nonzero (true order)")
+        return super().__new__(cls, name, order, coeffs, seeds)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class SequenceHandle:

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from mstep.cli import main
 from mstep.expressions import MAX_DEPTH, MAX_SHIFT
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 # The command that recorded each perfbench/ref/<name>.txt (perfbench/README.md).
 REF_COMMANDS = {
@@ -483,3 +487,51 @@ def test_exported_catalog_reads_back_byte_identical(tmp_path, capsys, monkeypatc
     for ident in build_identities():
         built = run(capsys, "gfcheck", "--id", ident.id)
         assert run(capsys, "gfcheck", "--id", ident.id, "--manifest", str(path)) == built
+
+
+def _python(*args):
+    """Run a fresh interpreter with this checkout's package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+# Runs one command, then prints the mstep modules whose code has run (a
+# module not yet used is still a lazy subclass of ModuleType) and whether
+# dataclasses was imported.
+_LOADED = """
+import json, sys, types
+import mstep.cli
+mstep.cli.main(sys.argv[1:])
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "mstep" and type(mod) is types.ModuleType)
+print(json.dumps([loaded, "dataclasses" in sys.modules]))
+"""
+
+
+def _loaded_by(*argv):
+    proc = _python("-c", _LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    return set(loaded), dataclasses
+
+
+def test_each_command_runs_only_the_layers_it_uses():
+    loaded, dataclasses = _loaded_by("search", "--m", "2")
+    assert loaded == {"mstep", "mstep.cli", "mstep.sequences", "mstep.pattern_search"}
+    assert not dataclasses
+    loaded, _ = _loaded_by("seq", "--name", "F", "--to", "3")
+    assert loaded == {"mstep", "mstep.cli", "mstep.sequences"}
+    loaded, _ = _loaded_by("verify", "--id", "conv_JF")
+    assert "mstep.identity_catalog" in loaded
+    assert not loaded & {"mstep.closed_form_solver", "mstep.pattern_search",
+                         "mstep.convolution_oracle"}
+
+
+@pytest.mark.parametrize("argv", [["mstep.cli", "seq", "--name", "F", "--to", "3"],
+                                  ["mstep.manifest_build"]])
+def test_python_m_runs_without_a_runpy_warning(argv):
+    # runpy warns when the module given to -m is in sys.modules already, as
+    # it would be if the package registered it lazily.
+    proc = _python("-W", "error", "-m", *argv)
+    assert proc.returncode == 0, proc.stderr

@@ -221,7 +221,7 @@ def test_reconstruction_rejects_a_perturbed_closed_form():
 
 
 def test_check_oracle_rejects_a_wrong_coefficient_or_correction():
-    lucas = dataclasses.replace(resolve("F"), name="lucas", seeds=(2, 1))
+    lucas = resolve("F")._replace(name="lucas", seeds=(2, 1))
     cf = solve_conv_multi([lucas, "T"])
     assert cf.corrections and cf.check_oracle(40)
     (spec, combo), rest = cf.parts[0], cf.parts[1:]

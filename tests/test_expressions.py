@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,14 @@ def test_json_roundtrip():
     ]
     for e in exprs:
         assert ex.expr_from_json(ex.expr_to_json(e)) == e
+
+
+def test_json_refuses_a_term_whose_sequence_is_not_a_name():
+    # A spec would serialize as a list that expr_from_json cannot read back.
+    with pytest.raises(TypeError):
+        json.dumps(ex.expr_to_json(ex.term(sequences.resolve("F"), 1)))
+    with pytest.raises(TypeError):
+        json.dumps(ex.expr_to_json(ex.add(ex.term("F"), ex.term(sequences.resolve("T")))))
 
 
 def test_pointwise_evaluate_extends_the_cache_geometrically(monkeypatch):

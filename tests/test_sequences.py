@@ -1,6 +1,6 @@
 import pytest
 
-from mstep.sequences import handle, make_mstep, registry, resolve
+from mstep.sequences import RecurrenceSpec, handle, make_mstep, registry, resolve
 
 
 def test_mstep3_prefix():
@@ -18,6 +18,16 @@ def test_mstep2_is_fibonacci():
 def test_mstep_rejects_zero_order():
     with pytest.raises(ValueError):
         make_mstep(0)
+
+
+def test_spec_validates_on_construction_and_replace():
+    with pytest.raises(ValueError):
+        resolve("F")._replace(coeffs=(1, 0))
+    with pytest.raises(ValueError):
+        RecurrenceSpec("r", 2, (1,), (0, 1))
+    lucas = resolve("F")._replace(name="lucas", seeds=(2, 1))
+    assert lucas == RecurrenceSpec("lucas", 2, (1, 1), (2, 1)) and lucas != resolve("F")
+    assert repr(lucas) == "RecurrenceSpec(name='lucas', order=2, coeffs=(1, 1), seeds=(2, 1))"
 
 
 def test_registry_contents():
