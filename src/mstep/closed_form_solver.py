@@ -33,13 +33,13 @@ window is inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
 from . import expressions as ex
+from . import identity_catalog as catalog  # read at call time: only derive_case needs it
 from .convolution_oracle import conv_multi_prefix
-from .identity_catalog import Identity, verify_symbolic
 from .sequences import handle, make_mstep, mstep_name, resolve
 from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, gf_of, poly_gcd
 
@@ -83,15 +83,14 @@ _LATEX_SYMBOLS = {
 }
 
 
-@dataclass
 class ClosedForm:
     """sum over parts of coeff * seq_{n+shift}, plus finite corrections."""
 
-    factors: tuple  # (RecurrenceSpec, ...)
-    parts: tuple  # ((RecurrenceSpec, {shift: coefficient}), ...)
-    corrections: dict
-    gf_equal: bool = False
-    oracle_max_n: int = -1
+    def __init__(self, factors: tuple, parts: tuple, corrections: dict,
+                 gf_equal: bool = False, oracle_max_n: int = -1):
+        self.factors = factors  # (RecurrenceSpec, ...)
+        self.parts = parts  # ((RecurrenceSpec, {shift: coefficient}), ...)
+        self.corrections, self.gf_equal, self.oracle_max_n = corrections, gf_equal, oracle_max_n
 
     def evaluate(self, n: int):
         return ex.evaluate(self.expr, n) + self.corrections.get(n, 0)
@@ -312,15 +311,10 @@ def equivalent(cf: ClosedForm, expr, n0: int = 0) -> bool:
 # -- the three-case stacking derivation ----------------------------------------------
 
 
-@dataclass
-class CaseDerivation:
-    m: int
-    p: int
-    case: str  # "p|m" | "p|m+1" | "p=2m+2"
-    ell: int
-    identity: Identity  # aligned-sum form with explicit other-terms
-    closed_expr: ex.SeqExpr  # pure shift combination equal to the convolution
-    cross_checked: bool = field(default=False)
+# case is "p|m", "p|m+1" or "p=2m+2"; identity is the aligned-sum form with
+# explicit other-terms; closed_expr is a shift combination equal to the convolution.
+CaseDerivation = namedtuple("CaseDerivation", "m p case ell identity closed_expr cross_checked",
+                            defaults=(False,))
 
 
 def stacking_case(m: int, p: int) -> tuple | None:
@@ -354,7 +348,7 @@ def derive_case(m: int, p: int) -> CaseDerivation:
         ident, closed = _derive_quadruple_case(m, lo, hi)
     else:
         ident, closed = _derive_div_case(m, p, lo, hi, ell, doubled=case == "p|m+1")
-    rep = verify_symbolic(ident)
+    rep = catalog.verify_symbolic(ident)
     if rep is None or not rep.passed:
         raise AssertionError(f"derived identity fails its GF proof: {ident.id}")
     product = gf_of(make_mstep(m)) * gf_of(make_mstep(m + p))
@@ -401,7 +395,7 @@ def _derive_div_case(m, p, lo, hi, ell, doubled):
             ex.term(hi, -1),
         ))
     lhs = ex.add(*stack) if len(stack) > 1 else stack[0]
-    ident = Identity(
+    ident = catalog.Identity(
         id=f"case_m{m}_p{p}",
         kind="seq",
         lhs=lhs,
@@ -428,7 +422,7 @@ def _derive_quadruple_case(m, lo, hi):
     ot = [
         ex.scale(c, ex.term(hi, -k)) for k, c in enumerate(q.coeffs) if c
     ]
-    ident = Identity(
+    ident = catalog.Identity(
         id=f"case_m{m}_p{2 * m + 2}",
         kind="seq",
         lhs=ex.sub(ex.term(hi), ex.term(lo)),

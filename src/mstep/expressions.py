@@ -16,6 +16,11 @@ Node kinds
                           own index; for a single kernel this is the bounded
                           partial sum sum_{j=0}^{n+c} kernel(j).
 
+Nodes are named tuples compared by type and fields: a node equals only a
+node of the same kind with equal fields (``Alt(0) != Geo2(0)``, and no node
+equals a plain tuple), and hashes as the tuple of its fields.
+``_conv_table`` sorts kernels by ``repr``, so that text orders its cache keys.
+
 Evaluation is exact.  ``evaluate_range`` is the one evaluator: it
 tabulates a whole prefix of values column by column and turns ConvAtoms
 into memoised convolution tables (columns are not memoised);
@@ -46,7 +51,7 @@ Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -57,6 +62,7 @@ from .series_algebra import (
     _GFS,
     RatFun,
     _coeff,
+    _div,
     series_divide,
     shift_series,
     shifted_gf,
@@ -64,58 +70,33 @@ from .series_algebra import (
 
 
 class SeqExpr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes: equal by type and fields."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class Term(SeqExpr):
-    seq: object
-    """A name ``sequences.resolve`` knows, or a ``RecurrenceSpec`` itself."""
-    shift: int = 0
+    def __ne__(self, other):
+        return not self == other
 
-
-@dataclass(frozen=True)
-class NPoly(SeqExpr):
-    coeffs: tuple  # ascending powers of n
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Alt(SeqExpr):
-    offset: int = 0
+def _node(name: str, fields: str, defaults=()) -> type:
+    """A node class: a named tuple of ``fields`` that is a SeqExpr."""
+    return type(name, (SeqExpr, namedtuple(name, fields, defaults=defaults)), {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class Geo2(SeqExpr):
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Const(SeqExpr):
-    value: int | Fraction
-
-
-@dataclass(frozen=True)
-class Sum(SeqExpr):
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Product(SeqExpr):
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Scale(SeqExpr):
-    factor: int | Fraction
-    child: SeqExpr
-
-
-@dataclass(frozen=True)
-class ConvAtom(SeqExpr):
-    kernels: tuple
-    offset: int = 0
+Term = _node("Term", "seq shift", (0,))  # seq: a name ``resolve`` knows, or a RecurrenceSpec
+NPoly = _node("NPoly", "coeffs")  # ascending powers of n
+Alt = _node("Alt", "offset", (0,))
+Geo2 = _node("Geo2", "offset", (0,))
+Const = _node("Const", "value")
+Sum = _node("Sum", "terms")
+Product = _node("Product", "factors")
+Scale = _node("Scale", "factor child")
+ConvAtom = _node("ConvAtom", "kernels offset", (0,))
 
 
 # -- builders ----------------------------------------------------------------
@@ -238,20 +219,22 @@ def evaluate_range(expr: SeqExpr, length: int) -> list:
         return [expr.value] * length
     if isinstance(expr, Sum):
         cols = [evaluate_range(t, length) for t in expr.terms]
-        return [_coeff(sum(vs)) for vs in zip(*cols)]
+        return [v if type(v) is int else _coeff(v) for v in map(sum, zip(*cols))]
     if isinstance(expr, Product):
         cols = [evaluate_range(f, length) for f in expr.factors]
-        return [_coeff(math.prod(vs)) for vs in zip(*cols)]
+        return [v if type(v) is int else _coeff(v) for v in map(math.prod, zip(*cols))]
     if isinstance(expr, Scale):
-        f = expr.factor
-        return [_coeff(f * v) for v in evaluate_range(expr.child, length)]
+        f, col = expr.factor, evaluate_range(expr.child, length)
+        if type(f) is int:
+            return [f * v if type(v) is int else _coeff(f * v) for v in col]
+        p, q = f.numerator, f.denominator
+        return [_div(p * v, q) if type(v) is int else _coeff(f * v) for v in col]
     if isinstance(expr, ConvAtom):
         c = expr.offset
         top = length - 1 + c
         if top < 0:
             return [0] * length
-        table = _conv_table(expr.kernels, top + 1)
-        return [table[n + c] if n + c >= 0 else 0 for n in range(length)]
+        return [0] * max(-c, 0) + _conv_table(expr.kernels, top + 1)[max(c, 0):top + 1]
     raise TypeError(f"not a SeqExpr: {expr!r}")
 
 
@@ -286,22 +269,19 @@ def _convolve(a: list, b: list, den: Poly) -> list:
     any den with den(0) != 0; den only decides the cost.  When den is the
     denominator of b's generating function, E has finite support and the
     work is linear in the length; den = 1 makes E = b, the direct sum.
+    Both products are built slice-wise, one pass over the column per
+    nonzero coefficient of den and of E.
     """
     length = len(a)
-    dens = [(i, d) for i, d in enumerate(den.coeffs) if d]
-    e = []
-    for k in range(length):
-        ek = _coeff(sum(d * b[k - i] for i, d in dens if i <= k))
+    e = [0] * length
+    for i, d in enumerate(den.coeffs):
+        if d:
+            e[i:] = [x + d * y for x, y in zip(e[i:], b)]
+    num = [0] * length
+    for k, ek in enumerate(e):
         if ek:
-            e.append((k, ek))
-    num = []
-    for n in range(length):
-        acc = 0
-        for k, ek in e:
-            if k > n:
-                break
-            acc += ek * a[n - k]
-        num.append(acc)
+            ek = _coeff(ek)
+            num[k:] = [x + ek * y for x, y in zip(num[k:], a)]
     return series_divide(num, den, length)
 
 

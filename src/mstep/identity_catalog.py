@@ -20,31 +20,28 @@ builds in process, or reads one from a JSON file in the format it exports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import expressions as ex
 from .sequences import resolve
 from .series_algebra import Poly, RatFun, agrees_from, gf_of
 
 
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    kind: str  # "seq" | "gf"
-    lhs: object
-    rhs: object
-    n0: int = 0
-    params: dict = field(default_factory=dict)
-    paper_quote: str = ""
-    negative: dict | None = None
+class Identity(namedtuple("Identity", "id kind lhs rhs n0 params paper_quote negative")):
+    """One catalog entry; kind is "seq" or "gf".  Each entry built without
+    ``params`` gets its own empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, kind, lhs, rhs, n0=0, params=None, paper_quote="", negative=None):
+        params = {} if params is None else params
+        return super().__new__(cls, id, kind, lhs, rhs, n0, params, paper_quote, negative)
 
 
-@dataclass
-class VerifyReport:
-    id: str
-    mode: str  # "numeric" | "symbolic"
-    passed: bool
-    first_failure: dict | None = None
+class VerifyReport(namedtuple("VerifyReport", "id mode passed first_failure", defaults=(None,))):
+    """mode is "numeric" or "symbolic"; first_failure is None on a pass."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"id": self.id, "mode": self.mode, "pass": self.passed}

@@ -85,7 +85,7 @@ class Poly:
         cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
 
     # -- construction helpers -------------------------------------------
     @staticmethod
@@ -252,7 +252,16 @@ def _prem(a: Poly, b: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd by primitive PRS, normalized primitive with positive lowest coefficient."""
+    """Gcd by primitive PRS, normalized primitive with positive lowest coefficient.
+
+    When either operand is a monomial c*x^k the gcd is x^min(k, val(other))
+    (x^k when the other is zero), the PRS's own answer, taken without it.
+    """
+    for p, q in ((a, b), (b, a)):
+        cs = p.coeffs
+        if cs and not any(cs[:-1]):
+            k = min(len(cs) - 1, q.valuation()) if q else len(cs) - 1
+            return Poly((0,) * k + (1,))
     a, b = a.primitive(), b.primitive()
     if a.degree < b.degree:
         a, b = b, a
@@ -333,8 +342,7 @@ class RatFun:
             if c != 1:
                 cs = [x // c for x in cs]
             num, den = Poly(cs[:split]), Poly(cs[split:])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num, self.den = num, den
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -485,6 +493,7 @@ def series_divide(num, den: Poly, count: int) -> list:
         raise NotAPowerSeries(f"den(0) = 0 in {den}")
     tail = [(k, dk) for k, dk in enumerate(den.coeffs) if k and dk]
     size = len(num)
+    monic = d0 == 1
     out = []
     for n in range(count):
         acc = num[n] if n < size else 0
@@ -492,7 +501,7 @@ def series_divide(num, den: Poly, count: int) -> list:
             if k > n:
                 break
             acc -= dk * out[n - k]
-        out.append(_div(acc, d0))
+        out.append(acc if monic and type(acc) is int else _div(acc, d0))
     return out
 
 

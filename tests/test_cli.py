@@ -522,10 +522,17 @@ def test_each_command_runs_only_the_layers_it_uses():
     assert not dataclasses
     loaded, _ = _loaded_by("seq", "--name", "F", "--to", "3")
     assert loaded == {"mstep", "mstep.cli", "mstep.sequences"}
-    loaded, _ = _loaded_by("verify", "--id", "conv_JF")
+    loaded, dataclasses = _loaded_by("verify", "--id", "conv_JF")
     assert "mstep.identity_catalog" in loaded
     assert not loaded & {"mstep.closed_form_solver", "mstep.pattern_search",
                          "mstep.convolution_oracle"}
+    assert not dataclasses
+    loaded, dataclasses = _loaded_by("solve", "--factors", "F,T")
+    assert "mstep.closed_form_solver" in loaded
+    assert not loaded & {"mstep.identity_catalog", "mstep.pattern_search"}
+    assert not dataclasses
+    for argv in (["table", "--max", "4"], ["gfcheck", "--id", "gf_adjacent_m2"]):
+        assert not _loaded_by(*argv)[1], argv
 
 
 @pytest.mark.parametrize("argv", [["mstep.cli", "seq", "--name", "F", "--to", "3"],

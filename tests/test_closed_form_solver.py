@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -132,7 +131,7 @@ def test_derive_case_proves_its_aligned_identity(monkeypatch):
 
     def lose_an_other_term(*args, **kwargs):
         ident, closed = derive_div_case(*args, **kwargs)
-        return dataclasses.replace(ident, rhs=ex.add(*ident.rhs.terms[:-1])), closed
+        return ident._replace(rhs=ex.add(*ident.rhs.terms[:-1])), closed
 
     monkeypatch.setattr(solver, "_derive_div_case", lose_an_other_term)
     with pytest.raises(AssertionError, match="GF proof"):

@@ -184,6 +184,22 @@ def test_json_refuses_a_term_whose_sequence_is_not_a_name():
         json.dumps(ex.expr_to_json(ex.add(ex.term("F"), ex.term(sequences.resolve("T")))))
 
 
+def test_nodes_equal_only_nodes_of_their_kind():
+    assert ex.Alt(0) != ex.Geo2(0) and not ex.Alt(0) == ex.Geo2(0)
+    assert ex.Term("F") != ("F", 0) and ("F", 0) != ex.Term("F")
+    assert not ex.Term("F") == ("F", 0)
+    assert ex.Term("F") == ex.Term("F", 0) and hash(ex.Term("F")) == hash(ex.Term("F", 0))
+    memo = {ex.Alt(0): "alt"}
+    assert ex.Geo2(0) not in memo and memo[ex.Alt(0)] == "alt"
+
+
+def test_node_repr_is_pinned():
+    # _conv_table sorts kernels by repr, so this text orders its cache keys
+    atom = ex.conv(ex.term("F", -1), ex.scale(Fraction(1, 2), ex.alt(1)), offset=2)
+    assert repr(atom) == ("ConvAtom(kernels=(Term(seq='F', shift=-1), "
+                          "Scale(factor=Fraction(1, 2), child=Alt(offset=1))), offset=2)")
+
+
 def test_pointwise_evaluate_extends_the_cache_geometrically(monkeypatch):
     e = ex.conv(ex.term("F"), ex.term("T"), ex.term("Q"))
     ex.clear_caches()

@@ -1,0 +1,126 @@
+"""Property tests for the exact fast paths against the loops they replace:
+the slice-wise convolution step against the per-coefficient loop, the
+monic-division shortcut of ``series_divide`` against the loop that divides
+every coefficient, and the monomial shortcut of ``poly_gcd`` against the
+full primitive PRS.  Results must be equal and of the same type: an int
+stays an int and a Fraction is never integral."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mstep import expressions as ex
+from mstep.series_algebra import P_ONE, Poly, _coeff, _div, _prem, poly_gcd, series_divide
+
+props = settings(deadline=None, max_examples=200)
+
+
+def old_series_divide(num, den, count):
+    """The loop that divides every coefficient by den(0)."""
+    d0 = den[0]
+    tail = [(k, dk) for k, dk in enumerate(den.coeffs) if k and dk]
+    out = []
+    for n in range(count):
+        acc = num[n] if n < len(num) else 0
+        for k, dk in tail:
+            if k > n:
+                break
+            acc -= dk * out[n - k]
+        out.append(_div(acc, d0))
+    return out
+
+
+def old_convolve(a, b, den):
+    """(a*E)/den with E = den*b, one coefficient at a time."""
+    length = len(a)
+    dens = [(i, d) for i, d in enumerate(den.coeffs) if d]
+    e = []
+    for k in range(length):
+        ek = _coeff(sum(d * b[k - i] for i, d in dens if i <= k))
+        if ek:
+            e.append((k, ek))
+    num = []
+    for n in range(length):
+        acc = 0
+        for k, ek in e:
+            if k > n:
+                break
+            acc += ek * a[n - k]
+        num.append(acc)
+    return old_series_divide(num, den, length)
+
+
+def prs_gcd(a, b):
+    """The primitive PRS with no monomial shortcut."""
+    a, b = a.primitive(), b.primitive()
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, _prem(a, b).primitive()
+    return a
+
+
+def same(got, want) -> bool:
+    return got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+ints = st.integers(-10**6, 10**6)
+fractions = st.fractions(-50, 50, max_denominator=7)
+# a column is all ints or mixes in Fractions
+columns = st.one_of(st.lists(ints, max_size=6), st.lists(st.one_of(ints, fractions), max_size=6))
+small = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=3))
+
+
+@st.composite
+def denominators(draw):
+    """D(0) in {1, 2, -3} or D = 1; the rest sparse (mostly zero) or dense."""
+    d0 = draw(st.sampled_from([1, 1, 2, -3]))
+    if draw(st.booleans()):
+        return P_ONE
+    fill = st.one_of(st.just(0), st.just(0), small) if draw(st.booleans()) else small
+    return Poly((d0, *draw(st.lists(fill, max_size=8))))
+
+
+@props
+@given(columns, denominators(), st.integers(0, 30))
+def test_series_divide_equals_the_per_coefficient_division(num, den, count):
+    assert same(series_divide(num, den, count), old_series_divide(num, den, count))
+
+
+@st.composite
+def convolution_inputs(draw):
+    length = draw(st.integers(1, 20))
+    entries = ints if draw(st.booleans()) else st.one_of(ints, fractions)
+    column = st.lists(entries, min_size=length, max_size=length)
+    den = draw(denominators())
+    if draw(st.booleans()):
+        # den annihilates b: E = den*b has finite support, the linear-time case
+        b = series_divide(draw(st.lists(entries, max_size=6)), den, length)
+    else:
+        b = draw(column)
+    return draw(column), b, den
+
+
+@settings(deadline=None, max_examples=100)
+@given(convolution_inputs())
+def test_slice_wise_convolution_equals_the_per_coefficient_loop(inputs):
+    a, b, den = inputs
+    assert same(ex._convolve(a, b, den), old_convolve(a, b, den))
+
+
+coeffs = st.one_of(st.integers(-12, 12), st.fractions(-6, 6, max_denominator=5))
+polys = st.lists(coeffs, max_size=6).map(Poly)
+# c*x^k with c of either sign, int or Fraction; k = 0 is a constant
+monomials = st.builds(lambda c, k: Poly((0,) * k + (c,)),
+                      st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+                      .filter(bool), st.integers(0, 6))
+operands = st.one_of(monomials, polys, st.just(Poly()))
+
+
+@props
+@given(monomials, operands, st.booleans())
+def test_monomial_gcd_equals_the_full_prs(m, other, swap):
+    a, b = (other, m) if swap else (m, other)
+    got = poly_gcd(a, b)
+    assert got == prs_gcd(a, b)
+    assert all(type(c) is int for c in got.coeffs)
+

@@ -8,6 +8,7 @@ import pytest
 from mstep import expressions as ex
 from mstep import manifest_build
 from mstep.identity_catalog import (
+    Identity,
     catalog_index,
     identity_from_json,
     identity_to_json,
@@ -68,6 +69,13 @@ def test_every_parameter_appears_in_its_id(catalog):
     for ident in with_params:
         for key, value in ident.params.items():
             assert f"{key}{value}" in ident.id.split("_"), (ident.id, key, value)
+
+
+def test_identities_built_without_params_do_not_share_a_dict():
+    a = Identity("a", "seq", ex.const(0), ex.const(0))
+    b = Identity("b", "seq", ex.const(0), ex.const(0))
+    a.params["m"] = 2
+    assert b.params == {} and a.params is not b.params
 
 
 def test_tf_convolution_passes_to_200(by_id):
