@@ -27,16 +27,15 @@ from . import series_algebra as sa
 # bounded memory; a larger value exits 2.  Times at each cap, 2-vCPU VM,
 # Python 3.11: `seq --name F --to 10000` 0.5 s, `conv` with 12 factors
 # and `--n 1000` 2.7 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
-# `table --max 14 --oracle-n 500` 4.5 s, `verify --all --max-n 2000`
+# `table --max 14 --oracle-n 500` 2.8 s, `verify --all --max-n 2000`
 # 2.9 s (69 MB), `search` at the four search caps 0.2-0.5 s for each of
 # m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
 # sequences.MAX_MSTEP_ORDER.)
 #
-# `solve`'s summed-order cap bounds its Euclid runs over Q, which grow
-# steeply with the degree of the cofactor reduced mod each denominator.
-# The slowest shape found, one large factor against eleven small ones, took
-# 2.8 s at the cap (`F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71`), 3.7 s at 128
-# and 8 s at 150; consecutive factors are cheap (`F20,...,F31`, 306: 1.0 s).
+# `solve`'s summed-order cap bounds the product GF's degree.  The slowest
+# shape found, one large factor against eleven small ones
+# (`F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71`), takes 0.22 s at the cap with
+# `--oracle-n 0` and 0.5 s with `--oracle-n 500`.
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
@@ -236,6 +235,7 @@ def _cmd_table(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     _at_most(args.max, MAX_TABLE_SUM, "--max")
     cells = solver.table(args.max, oracle_n=args.oracle_n)
+    bad = [c for c in cells if not (c["gf_equal"] and c["oracle_ok"])]
     if args.format == "json":
         print(json.dumps(cells))
     else:
@@ -244,10 +244,8 @@ def _cmd_table(args) -> int:
             case = "" if c["case_equivalent"] is None else f" case-check={c['case_equivalent']}"
             print(f"(m={c['m']}, p={c['p']}) {c['label']:<14} {status}"
                   f" gf-verified oracle<=n{c['oracle_max_n']}{case}: {c['text']}")
-        solved = sum(1 for c in cells if c["gf_equal"] and c["oracle_ok"])
-        print(f"cells: {solved}/{len(cells)} solved and verified")
-    bad = [c for c in cells if not (c["gf_equal"] and c["oracle_ok"])]
-    return 0 if not bad else 1
+        print(f"cells: {len(cells) - len(bad)}/{len(cells)} solved and verified")
+    return 1 if bad else 0
 
 
 def _cmd_search(args) -> int:

@@ -148,20 +148,19 @@ class ClosedForm:
     # -- rendering -----------------------------------------------------------
     def _render(self, symbols, term_fmt, wrap_fmt, corr_fmt) -> str:
         denom = self._denominator
-        pieces = []
+        terms = []
         for spec, combo in self.parts:
             name = spec.name
             for s in sorted(combo, reverse=True):
-                pieces.append((combo[s] * denom, term_fmt(symbols.get(name, name), name, s)))
-        terms = []
-        for c, body in pieces:
-            mag = abs(c)
-            if mag != 1:
-                body = f"{mag} {body}"
-            if not terms:
-                terms.append(body if c > 0 else f"- {body}")
-            else:
-                terms.append(("+ " if c > 0 else "- ") + body)
+                c = combo[s] * denom
+                idx = "n" if s == 0 else (f"n+{s}" if s > 0 else f"n-{-s}")
+                body = term_fmt(symbols.get(name, name), name, idx)
+                if abs(c) != 1:
+                    body = f"{abs(c)} {body}"
+                if not terms:
+                    terms.append(body if c > 0 else f"- {body}")
+                else:
+                    terms.append(("+ " if c > 0 else "- ") + body)
         out = " ".join(terms) if terms else "0"
         if denom != 1:
             out = wrap_fmt(denom, out)
@@ -173,8 +172,7 @@ class ClosedForm:
         return out
 
     def text(self) -> str:
-        def term_fmt(sym, name, s):
-            idx = "n" if s == 0 else (f"n+{s}" if s > 0 else f"n-{-s}")
+        def term_fmt(sym, name, idx):
             return f"2^({idx})" if name == "pow2" else f"{sym}[{idx}]"
 
         return self._render(
@@ -184,8 +182,7 @@ class ClosedForm:
         )
 
     def latex(self) -> str:
-        def term_fmt(sym, name, s):
-            idx = "n" if s == 0 else (f"n+{s}" if s > 0 else f"n-{-s}")
+        def term_fmt(sym, name, idx):
             return f"2^{{{idx}}}" if name == "pow2" else f"{sym}_{{{idx}}}"
 
         return self._render(
@@ -238,9 +235,9 @@ def solve_conv_multi(specs) -> ClosedForm:
     parts = []
     for spec, g in zip(specs, gfs):
         d = g.den
-        # The cofactor mod d gives the same inverse from a Euclid of degree deg d.
-        _, v, c = bezout(d, (den // d) % d)  # coprime, so c is a nonzero constant
-        a_i = (rem * v * Fraction(1, c.coeffs[0])) % d
+        # The cofactor mod d gives the same inverse from a PRS of degree deg d.
+        u, _, _ = bezout((den // d) % d, d)  # coprime, so u*(D/D_i) = 1 mod D_i
+        a_i = (rem * u) % d
         combo, extra = _fraction_to_shifts(g, a_i)
         parts.append((spec, combo))
         _add_poly_corrections(corrections, extra)
@@ -276,9 +273,9 @@ def _fraction_to_shifts(g: RatFun, a: Poly):
             if c:
                 combo[val - k] = Fraction(c, c0)
         return combo, Poly()
-    # gf_of is in lowest terms, so g1 is a nonzero constant.
-    alpha, _, g1 = bezout(num, g.den)
-    c_part = (a * alpha * Fraction(1, g1.coeffs[0])) % g.den
+    # gf_of is in lowest terms, so alpha*num = 1 mod den.
+    alpha, _, _ = bezout(num, g.den)
+    c_part = (a * alpha) % g.den
     combo = {-k: c for k, c in enumerate(c_part.coeffs) if c}
     extra = (a - c_part * num) // g.den
     return combo, extra

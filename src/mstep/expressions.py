@@ -414,10 +414,25 @@ def number_from_json(value):
     return _coeff(value)
 
 
+def node_tag(node, arity: dict, kind: str) -> str:
+    """The tag of a JSON tree node, once ``arity`` (tag -> (fewest, most)
+    operands, None for no limit) admits the tag and its operand count."""
+    if not isinstance(node, list) or not node or node[0] not in arity:
+        raise ValueError(f"not a {kind} tree: {node!r}")
+    low, high = arity[node[0]]
+    if not low <= len(node) - 1 <= (high or len(node)):
+        raise ValueError(f"{kind} node {node[0]!r} with {len(node) - 1} operands")
+    return node[0]
+
+
+_SEQ_ARITY = {"term": (2, 2), "npoly": (1, 1), "alt": (1, 1), "geo2": (1, 1), "const": (1, 1),
+              "scale": (2, 2), "conv": (2, 2), "sum": (1, None), "product": (1, None)}
+
+
 def expr_from_json(node, depth: int = 1) -> SeqExpr:
     if depth > MAX_DEPTH:
         raise ValueError(f"expression tree deeper than the cap {MAX_DEPTH}")
-    tag = node[0]
+    tag = node_tag(node, _SEQ_ARITY, "seq")
     if tag == "term":
         resolve(node[1])  # an unknown name fails at load, not at evaluation
         return Term(node[1], _shift(node[2]))
@@ -432,12 +447,8 @@ def expr_from_json(node, depth: int = 1) -> SeqExpr:
     if tag == "const":
         return Const(number_from_json(node[1]))
     if tag in ("sum", "product"):
-        if len(node) < 2:
-            raise ValueError(f"{tag} needs at least one operand")
         parts = tuple(expr_from_json(t, depth + 1) for t in node[1:])
         return Sum(parts) if tag == "sum" else Product(parts)
     if tag == "scale":
         return Scale(number_from_json(node[1]), expr_from_json(node[2], depth + 1))
-    if tag == "conv":
-        return conv(*(expr_from_json(k, depth + 1) for k in node[1]), offset=_shift(node[2]))
-    raise ValueError(f"unknown expression tag: {tag!r}")
+    return conv(*(expr_from_json(k, depth + 1) for k in node[1]), offset=_shift(node[2]))

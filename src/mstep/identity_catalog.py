@@ -231,7 +231,6 @@ def identity_to_json(ident: Identity) -> dict:
     return entry
 
 
-# gf tree tag -> (fewest, most) operands; None means no upper limit.
 _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None),
              "sub": (2, 2), "div": (2, 2), "neg": (1, 1), "subneg": (1, 1)}
 
@@ -242,14 +241,10 @@ def _check_gf_tree(tree, depth: int = 1) -> None:
     numbers and the tree is at most ``expressions.MAX_DEPTH`` deep."""
     if depth > ex.MAX_DEPTH:
         raise ValueError(f"gf tree deeper than the cap {ex.MAX_DEPTH}")
-    if not isinstance(tree, list) or not tree or tree[0] not in _GF_ARITY:
-        raise ValueError(f"not a gf tree: {tree!r}")
-    low, high = _GF_ARITY[tree[0]]
-    if not low <= len(tree) - 1 <= (high or len(tree)):
-        raise ValueError(f"gf node {tree[0]!r} with {len(tree) - 1} operands")
-    if tree[0] == "seqgf":
+    tag = ex.node_tag(tree, _GF_ARITY, "gf")
+    if tag == "seqgf":
         resolve(tree[1])
-    elif tree[0] == "poly":
+    elif tag == "poly":
         if not isinstance(tree[1], list):
             raise ValueError(f"poly operand is not a coefficient list: {tree[1]!r}")
         for c in tree[1]:
@@ -278,8 +273,8 @@ def identity_from_json(entry: dict) -> Identity:
         raise ValueError(f"id is not a string: {id_!r}")
     if not _is_index(n0):
         raise ValueError(f"n0 is not an int >= 0: {n0!r}")
-    if kind == "gf" and n0 != 0:
-        raise ValueError(f"a gf entry states an equation of power series, so n0 is 0, not {n0}")
+    if kind == "gf" and (n0 != 0 or negative is not None):
+        raise ValueError("a gf entry equates power series, so it has n0 = 0 and no negative block")
     if negative is not None:
         fail = negative["first_fail"]
         if not (_is_index(fail["n"]) and isinstance(fail["lhs"], str)
@@ -304,8 +299,9 @@ def load_manifest(path=None) -> list:
     A file is validated whole before anything is verified: a malformed
     document or entry raises ValueError naming the entry, as do numbers
     such as "1/0", 1e400 or "1e5000" (``expressions.number_from_json``),
-    a gf entry with n0 != 0 and trees above ``expressions.MAX_DEPTH`` or too
-    deep to parse.  Either way, a repeated id raises ValueError.
+    a gf entry with n0 != 0 or a ``negative`` block, and trees above
+    ``expressions.MAX_DEPTH`` or too deep to parse.  Either way, a repeated
+    id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one

@@ -4,13 +4,13 @@ This is the proof engine behind every generating-function identity in the
 package: dense polynomials whose coefficients are ``int`` wherever the value
 is an integer and ``fractions.Fraction`` only where it is not, a canonical
 rational-function type whose structural equality coincides with
-mathematical equality, extended Euclid (Bezout certificates) for partial
-fractions, Taylor-coefficient extraction, and the x -> -x substitution used
-by the alternating-sum identities.
+mathematical equality, Bezout certificates for partial fractions,
+Taylor-coefficient extraction, and the x -> -x substitution used by the
+alternating-sum identities.
 
-Polynomial gcds are fraction-free: the primitive polynomial remainder
-sequence (Collins 1967; Brown & Traub 1971) takes integer pseudo-remainders
-and divides out their content after every step.
+Polynomial gcds and Bezout certificates are fraction-free: one primitive
+polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
+integer pseudo-remainders and divides out their content after every step.
 
 Canonical form of a rational function N/D:
 
@@ -251,6 +251,13 @@ def _prem(a: Poly, b: Poly) -> Poly:
     return Poly(r)
 
 
+def _prs(a: Poly, b: Poly, w: int) -> Poly:
+    """Primitive PRS of integral a, b: the last a before deg b drops below w."""
+    while b.degree >= w:
+        a, b = b, _prem(a, b).primitive()
+    return a
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd by primitive PRS, normalized primitive with positive lowest coefficient.
 
@@ -265,36 +272,27 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = a.primitive(), b.primitive()
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
-        a, b = b, _prem(a, b).primitive()
-    return a
+    return _prs(a, b, 0)
 
 
 def bezout(a: Poly, b: Poly):
     """Extended Euclid: returns (u, v, g) with u*a + v*b = g = gcd(a, b).
 
-    When both a/g and b/g are nonconstant the certificate is reduced so that
-    deg u < deg b - deg g and deg v < deg a - deg g.
+    ``poly_gcd``'s PRS runs on integral rows x^(2w) r + x^w s + t from
+    (a, 1, 0) and (b, 0, 1), w > deg a, deg b >= deg t, deg s; it divides r
+    alone and every row keeps s*a + t*b = r.  The last row with r != 0 has
+    r = c*g; (u, v) = (s, t)/c is Euclid's last certificate, so deg u <
+    deg b - deg g and deg v < deg a - deg g when a/g, b/g are nonconstant.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("bezout of two zero polynomials")
-    r0, r1 = a, b
-    u0, u1 = P_ONE, P_ZERO
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    g = r0.primitive()
-    low = g.valuation()
-    u = u0 * _div(g.coeffs[low], r0.coeffs[low])
-    # Reduce u modulo b/g so the degree bounds hold, then recover v exactly.
-    bq = b // g
-    if bq.degree > 0:
-        u = u % bq
-    if b.is_zero():
-        v = P_ZERO
-    else:
-        v = (g - u * a) // b
+    w = max(len(a.coeffs), len(b.coeffs))
+    pad = (0,) * w
+    cs = _prs(Poly(pad + (1,) + pad[1:] + a.coeffs).primitive(),
+              Poly((1,) + pad[1:] + pad + b.coeffs).primitive(), 2 * w).coeffs
+    g = Poly(cs[2 * w:]).primitive()
+    c = cs[2 * w + g.valuation()] // g[g.valuation()]
+    u, v = (Poly([_div(x, c) for x in part]) for part in (cs[w:2 * w], cs[:w]))
     return u, v, g
 
 

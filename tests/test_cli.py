@@ -187,6 +187,14 @@ def test_inputs_above_the_caps_exit_2(capsys, argv):
     assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
 
 
+def test_solve_at_the_summed_order_cap(capsys):
+    """Summed order 120, the slowest shape at the cap (cli.MAX_SOLVE_ORDER)."""
+    factors = "F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71"
+    code, out = run(capsys, "solve", "--factors", factors, "--oracle-n", "0")
+    doc = json.loads(out)
+    assert code == 0 and doc["verified"]["gf_equal"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["conv", "--factors", "F,T", "--n", "-1"],
     ["seq", "--name", "F", "--from", "5", "--to", "2"],
@@ -311,6 +319,9 @@ _FAIL = {"n": 5, "lhs": "5", "rhs": "6"}
     pytest.param("seq", ["geo2", True], {}, id="geo2-offset-bool"),
     pytest.param("seq", ["conv", [["term", "F", 0]], 1.5], {}, id="conv-offset-float"),
     pytest.param("seq", ["npoly", "12"], {}, id="npoly-str"),
+    pytest.param("seq", ["scale", "2", ["term", "F", 0], ["term", "T", 5]], {},
+                 id="scale-extra-operand"),
+    pytest.param("seq", ["term", "F", 0, 7], {}, id="term-extra-operand"),
     pytest.param("seq", None, {"id": ["bad_leaf"]}, id="id-list"),
     pytest.param("seq", None, {"n0": "3"}, id="n0-str"),
     pytest.param("seq", None, {"n0": 1.5}, id="n0-float"),
@@ -338,6 +349,21 @@ def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs, fi
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
     code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]}, "--symbolic")
     assert code == 2 and doc["error"] == "ValueError" and "bad_leaf" in doc["detail"]
+
+
+def test_manifest_gf_entry_with_a_negative_block_is_a_json_error(tmp_path, capsys):
+    """The file is refused whole: the good entry sorts first and is not verified."""
+    good = {"id": "a_good", "kind": "seq", "lhs": ["term", "F", 0], "rhs": ["term", "F", 0]}
+    bad = {"id": "b_negative_gf", "kind": "gf", "lhs": ["seqgf", "F"], "rhs": ["seqgf", "F"],
+           "negative": {"first_fail": _FAIL}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"identities": [good, bad]}))
+    for argv in (["verify", "--id", "a_good"], ["gfcheck", "--id", "b_negative_gf"],
+                 ["verify", "--all"]):
+        code, out = run(capsys, *argv, "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "ValueError", (argv, doc)
+        assert "b_negative_gf" in doc["detail"] and "negative" in doc["detail"]
 
 
 @pytest.mark.parametrize("divisor", [

@@ -1,14 +1,15 @@
-"""Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd against a
-naive Euclid over Fractions, uniqueness of the canonical form, the coefficient
-types (int where integral, Fraction otherwise, never float), Henrici-reduced
-field operations against the full-cross-product reference, the gcd-free
-one-sided shift against a gcd-normalised reference, and the GF memo."""
+"""Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd and
+Bezout certificate against naive Euclids over Fractions, uniqueness of the
+canonical form, the coefficient types (int where integral, Fraction
+otherwise, never float), Henrici-reduced field operations against the
+full-cross-product reference, the gcd-free one-sided shift against a
+gcd-normalised reference, and the GF memo."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
@@ -69,6 +70,28 @@ def naive_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([c // g for c in ints_])
 
 
+def naive_bezout(a: Poly, b: Poly):
+    """Extended Euclid over Fractions, as bezout once ran: the remainder
+    sequence by divmod with one cofactor, g = the last remainder made
+    primitive, u reduced mod b/g and v recovered by division."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("bezout of two zero polynomials")
+    r0, r1 = a, b
+    u0, u1 = Poly((1,)), Poly()
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+    g = r0.primitive()
+    low = g.valuation()
+    u = u0 * (Fraction(g.coeffs[low]) / r0.coeffs[low])
+    bq = b // g
+    if bq.degree > 0:
+        u = u % bq
+    v = Poly() if b.is_zero() else (g - u * a) // b
+    return u, v, g
+
+
 @props
 @given(polys, polys, polys)
 def test_ring_laws(a, b, c):
@@ -109,6 +132,29 @@ def test_bezout_certificate(a, b):
         return
     u, v, g = bezout(a, b)
     assert u * a + v * b == g == poly_gcd(a, b)
+
+
+@st.composite
+def bezout_operands(draw):
+    """Rational a, b, not both zero; often with a planted common factor, or
+    with one dividing the other."""
+    a, b, common = draw(polys), draw(polys), draw(nonzero_polys)
+    shape = draw(st.sampled_from(["plain", "common", "a|b", "b|a"]))
+    if shape == "common":
+        a, b = a * common, b * common
+    elif shape == "a|b":
+        b = a * b
+    elif shape == "b|a":
+        a = a * b
+    assume(not (a.is_zero() and b.is_zero()))
+    return a, b
+
+
+@settings(deadline=None, max_examples=200)
+@given(bezout_operands())
+def test_bezout_equals_the_fraction_euclid(ab):
+    a, b = ab
+    assert [p.coeffs for p in bezout(a, b)] == [p.coeffs for p in naive_bezout(a, b)]
 
 
 @props
