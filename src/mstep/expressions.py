@@ -39,8 +39,10 @@ integral and a Fraction only when it is not, the rule of
 kind, and raises :class:`NotCompilable` where the rational fragment ends:
 a pointwise product with two non-scalar factors (e.g. F_n * T_n).  The
 scalars Const, Alt and NPoly share one rule, alone or in a Product: from
-the GF of the one other factor, or 1/(1-x) when there is none, apply each
-in turn (c*g, +-g(-x), a_n -> p(n) a_n).
+the GF of the one other factor, or 1/(1-x) when there is none, apply Const
+and Alt in turn (c*g, +-g(-x)), then the product p of the NPoly factors
+(a_n -> p(n) a_n) as one linear map p(x d/dx) over D r^deg(p), where D is
+the denominator and r its squarefree part; it takes one gcd, gcd(D, D').
 A ``Sum`` adds the numerators of children over one denominator with one
 gcd, uses a lone child as it is and adds these groups by Henrici.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
@@ -63,6 +65,7 @@ from .series_algebra import (
     RatFun,
     _coeff,
     _div,
+    poly_gcd,
     series_divide,
     shift_series,
     shifted_gf,
@@ -303,15 +306,20 @@ _RF_ONES = RatFun._coprime(P_ONE, Poly((1, -1)))  # 1/(1-x)
 _SCALARS = (Const, Alt, NPoly)  # pointwise factors that rescale a_n by a function of n
 
 
-def _apply_npoly(coeffs: tuple, g: RatFun) -> RatFun:
-    # sum_i c_i * (x d/dx)^i applied to g turns coefficients a_n into p(n) a_n.
-    acc = RatFun(Poly.const(coeffs[0])) * g if coeffs else RatFun(Poly())
-    power = g
-    for c in coeffs[1:]:
-        power = shift_series(power.derivative(), -1)
-        if c:
-            acc = acc + RatFun(Poly.const(c)) * power
-    return acc
+def _apply_npoly(p: Poly, g: RatFun) -> RatFun:
+    # p(x d/dx) g turns a_n into p(n) a_n.  For g = N/D with D = r*s, s = gcd(D, D'),
+    # (x d/dx)^k g = P_k/(D r^k): P_0 = N, P_(k+1) = x(P_k' r - P_k (D'/s + k r')).
+    # Each power raises every pole's order by one (D(0) != 0), so the Horner sum
+    # of p_k P_k r^(L-k) over D r^L, L = deg p, is already in lowest terms.
+    n, d, dd = g.num, g.den, g.den.derivative()
+    s = poly_gcd(d, dd)
+    r, e = d // s, dd // s
+    acc, den = Poly(), s
+    for k, c in enumerate(p.coeffs):
+        if k:
+            n = (r * n.derivative() - (e + r.derivative() * (k - 1)) * n).shift(1)
+        acc, den = r * acc + n * c, r * den
+    return RatFun._coprime(acc, den)
 
 
 def gf_of_expr(expr: SeqExpr) -> RatFun:
@@ -342,14 +350,15 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
     if len(bases) > 1:
         raise NotCompilable("pointwise product of two non-scalar sequences")
     g = gf_of_expr(bases[0]) if bases else _RF_ONES
+    p = P_ONE  # the product of the NPoly factors, a polynomial in n
     for f in factors:
         if isinstance(f, Const):
             g = f.value * g
         elif isinstance(f, Alt):
             g = g.substitute_neg() if f.offset % 2 == 0 else -g.substitute_neg()
         elif isinstance(f, NPoly):
-            g = _apply_npoly(f.coeffs, g)
-    return g
+            p = p * Poly(f.coeffs)
+    return g if p == P_ONE else _apply_npoly(p, g)
 
 
 # -- JSON serialization ---------------------------------------------------------------
@@ -386,6 +395,13 @@ def expr_to_json(expr: SeqExpr):
 # under `verify --all --max-n 2000` (18.2 MB at shift 0), 2-vCPU VM.
 MAX_SHIFT = 1_000
 
+# Largest summed npoly degree (len(coeffs) - 1 over every npoly node) of one
+# --manifest side, the catalog's own (pell_FFF_npoly: 1 + 1 + 2 + 2).  Each
+# degree raises a GF denominator's power by one, through nested products and
+# conv kernels alike.  At the cap, npoly times F500 takes 3.0-3.3 s under a
+# cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM (README, caps).
+MAX_NPOLY_DEGREE = 6
+
 # Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
 # Evaluation and compilation recurse per level: a `sum` chain 500 deep
 # exhausts Python's recursion limit, 64 stays far below it.
@@ -399,6 +415,13 @@ def _shift(value) -> int:
     if abs(value) > MAX_SHIFT:
         raise ValueError(f"shift or offset {value} exceeds the cap {MAX_SHIFT}")
     return value
+
+
+def npoly_degree(expr: SeqExpr) -> int:
+    """The summed len(coeffs) - 1 over the NPoly nodes of a tree."""
+    if isinstance(expr, NPoly):
+        return max(len(expr.coeffs) - 1, 0)
+    return sum(npoly_degree(c) for c in expr if isinstance(c, tuple))  # nodes are tuples
 
 
 def number_from_json(value):

@@ -180,14 +180,15 @@ def compile_gf(tree) -> RatFun:
     """Compile a generating-function tree to a canonical RatFun.
 
     Grammar: ["seqgf", name], ["poly", [coeffs...]], ["add"|"mul", ...],
-    ["sub"|"div", a, b], ["neg", a], ["subneg", a] (x -> -x).  A divisor
-    that compiles to zero raises ValueError.
+    ["sub"|"div", a, b], ["neg", a], ["subneg", a] (x -> -x).  ``poly``
+    coefficients are numbers (``_gf_from_json`` parses a file's strings
+    once).  A divisor that compiles to zero raises ValueError.
     """
     tag = tree[0]
     if tag == "seqgf":
         return gf_of(resolve(tree[1]))
     if tag == "poly":
-        return RatFun(Poly([ex.number_from_json(c) for c in tree[1]]))
+        return RatFun(Poly(tree[1]))
     if tag == "add":
         acc = compile_gf(tree[1])
         for sub in tree[2:]:
@@ -219,8 +220,8 @@ def identity_to_json(ident: Identity) -> dict:
     entry = {
         "id": ident.id,
         "kind": ident.kind,
-        "lhs": ident.lhs if ident.kind == "gf" else ex.expr_to_json(ident.lhs),
-        "rhs": ident.rhs if ident.kind == "gf" else ex.expr_to_json(ident.rhs),
+        "lhs": _gf_to_json(ident.lhs) if ident.kind == "gf" else ex.expr_to_json(ident.lhs),
+        "rhs": _gf_to_json(ident.rhs) if ident.kind == "gf" else ex.expr_to_json(ident.rhs),
         "n0": ident.n0,
         "paper_quote": ident.paper_quote,
     }
@@ -235,8 +236,16 @@ _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None)
              "sub": (2, 2), "div": (2, 2), "neg": (1, 1), "subneg": (1, 1)}
 
 
-def _check_gf_tree(tree, depth: int = 1) -> None:
-    """Raise unless every node has the operand count its tag needs, every
+def _gf_to_json(tree) -> list:
+    """A gf tree in its JSON form: ``poly`` coefficients as strings."""
+    if tree[0] == "poly":
+        return ["poly", [str(c) for c in tree[1]]]
+    return [tree[0], *(t if isinstance(t, str) else _gf_to_json(t) for t in tree[1:])]
+
+
+def _gf_from_json(tree, depth: int = 1) -> list:
+    """The gf tree of a JSON one, with its ``poly`` coefficients parsed;
+    raises unless every node has the operand count its tag needs, every
     ``seqgf`` names a known sequence, every ``poly`` holds a list of
     numbers and the tree is at most ``expressions.MAX_DEPTH`` deep."""
     if depth > ex.MAX_DEPTH:
@@ -244,14 +253,12 @@ def _check_gf_tree(tree, depth: int = 1) -> None:
     tag = ex.node_tag(tree, _GF_ARITY, "gf")
     if tag == "seqgf":
         resolve(tree[1])
-    elif tag == "poly":
+        return tree
+    if tag == "poly":
         if not isinstance(tree[1], list):
             raise ValueError(f"poly operand is not a coefficient list: {tree[1]!r}")
-        for c in tree[1]:
-            ex.number_from_json(c)
-    else:
-        for sub in tree[1:]:
-            _check_gf_tree(sub, depth + 1)
+        return ["poly", [ex.number_from_json(c) for c in tree[1]]]
+    return [tag, *(_gf_from_json(sub, depth + 1) for sub in tree[1:])]
 
 
 def _is_index(value) -> bool:
@@ -261,11 +268,12 @@ def _is_index(value) -> bool:
 def identity_from_json(entry: dict) -> Identity:
     kind = entry["kind"]
     if kind == "gf":
-        lhs, rhs = entry["lhs"], entry["rhs"]
-        _check_gf_tree(lhs)
-        _check_gf_tree(rhs)
+        lhs, rhs = _gf_from_json(entry["lhs"]), _gf_from_json(entry["rhs"])
     elif kind == "seq":
         lhs, rhs = ex.expr_from_json(entry["lhs"]), ex.expr_from_json(entry["rhs"])
+        degree, cap = max(ex.npoly_degree(lhs), ex.npoly_degree(rhs)), ex.MAX_NPOLY_DEGREE
+        if degree > cap:
+            raise ValueError(f"npoly degree {degree} of a side exceeds the cap {cap}")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
     id_, n0, negative = entry["id"], entry.get("n0", 0), entry.get("negative")
@@ -299,9 +307,10 @@ def load_manifest(path=None) -> list:
     A file is validated whole before anything is verified: a malformed
     document or entry raises ValueError naming the entry, as do numbers
     such as "1/0", 1e400 or "1e5000" (``expressions.number_from_json``),
-    a gf entry with n0 != 0 or a ``negative`` block, and trees above
-    ``expressions.MAX_DEPTH`` or too deep to parse.  Either way, a repeated
-    id raises ValueError.
+    a gf entry with n0 != 0 or a ``negative`` block, trees above
+    ``expressions.MAX_DEPTH`` or too deep to parse, and a seq side whose
+    npoly degrees sum above ``expressions.MAX_NPOLY_DEGREE``.  Either way,
+    a repeated id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one

@@ -77,7 +77,7 @@ def gfm(m):
 
 
 def gpoly(*coeffs):
-    return ["poly", [str(Fraction(c)) for c in coeffs]]
+    return ["poly", list(coeffs)]  # ints or Fractions; identity_to_json writes strings
 
 
 def gx(k):

@@ -40,13 +40,6 @@ _ALIASES = {
     "O": "octanacci",
     "s": "hexanacci",
     "S": "heptanacci",
-    "F2": "F",
-    "F3": "T",
-    "F4": "Q",
-    "F5": "P",
-    "F6": "hexanacci",
-    "F7": "heptanacci",
-    "F8": "octanacci",
 }
 
 

@@ -415,12 +415,6 @@ class RatFun:
         """f(x) -> f(-x); x -> -x keeps num and den coprime."""
         return RatFun._coprime(self.num.substitute_neg(), self.den.substitute_neg())
 
-    def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     # -- rendering ---------------------------------------------------------------
     def __str__(self):
         num, den = self.num, self.den

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mstep.cli import main
-from mstep.expressions import MAX_DEPTH, MAX_SHIFT
+from mstep.expressions import MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
@@ -407,6 +407,32 @@ def test_manifest_shift_above_the_cap_is_a_json_error(tmp_path, capsys, node):
         for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
             code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
             assert code == 0 and f"PASS at_cap ({mode})" in out
+
+
+def _npoly(degree: int) -> list:
+    return ["npoly", ["1"] + ["0"] * (degree - 1) + ["1"]]
+
+
+# Sides whose npoly degrees sum to `d`: one node, or two nested through a conv.
+@pytest.mark.parametrize("side", [
+    lambda d: ["product", _npoly(d), ["term", "F", 0]],
+    lambda d: ["product", _npoly(d // 2), ["conv", [["product", _npoly(d - d // 2),
+                                                     ["term", "T", 1]]], 0]],
+], ids=["one-node", "nested"])
+def test_manifest_npoly_degree_above_the_cap_is_a_json_error(tmp_path, capsys, side):
+    entry = {"id": "steep", "kind": "seq", "lhs": ["term", "F", 0],
+             "rhs": side(MAX_NPOLY_DEGREE + 1), "n0": 0}
+    for flags in ((), ("--symbolic",)):
+        code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]}, *flags)
+        assert code == 2 and doc["error"] == "ValueError"
+        assert "steep" in doc["detail"] and f"exceeds the cap {MAX_NPOLY_DEGREE}" in doc["detail"]
+    entry = {"id": "at_cap", "kind": "seq", "lhs": side(MAX_NPOLY_DEGREE),
+             "rhs": side(MAX_NPOLY_DEGREE), "n0": 0}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"identities": [entry]}))
+    for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
+        code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+        assert code == 0 and f"PASS at_cap ({mode})" in out
 
 
 def _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, ident):

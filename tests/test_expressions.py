@@ -105,6 +105,24 @@ def test_gf_of_npoly_times_term():
     assert series_coeffs(g, 10) == [n * F.term(n) for n in range(10)]
 
 
+def test_npoly_takes_no_gcd_above_the_degree_of_its_base(monkeypatch):
+    """n^6 * octanacci: every gcd has an operand of degree <= 8 = deg D; a
+    per-power derivative would take gcds against D^2 (degree 16)."""
+    calls = []
+
+    def recording_gcd(a, b, gcd=series_algebra.poly_gcd):
+        calls.append((a.degree, b.degree))
+        return gcd(a, b)
+
+    monkeypatch.setattr(series_algebra, "poly_gcd", recording_gcd)
+    monkeypatch.setattr(ex, "poly_gcd", recording_gcd, raising=False)
+    ex.clear_caches()
+    g = ex.gf_of_expr(ex.mul(ex.npoly(0, 0, 0, 0, 0, 0, 1), ex.term("octanacci")))
+    assert calls and all(min(c) <= 8 for c in calls), calls
+    O = handle("octanacci")
+    assert series_coeffs(g, 12) == [n ** 6 * O.term(n) for n in range(12)]
+
+
 def test_pointwise_product_of_sequences_not_compilable():
     with pytest.raises(ex.NotCompilable, match="pointwise product"):
         ex.gf_of_expr(ex.mul(ex.term("F"), ex.term("T")))

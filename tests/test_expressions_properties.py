@@ -3,7 +3,8 @@ rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
 compiled generating function, and every integral value is an int.  A sum's
 GF equals the one-at-a-time Henrici fold of its children's GFs.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
-so does every multi-kernel convolution table of the catalog."""
+so does every multi-kernel convolution table of the catalog.  The npoly
+rule equals the per-power rule it replaced, kept here as the reference."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from mstep import expressions as ex
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep.identity_catalog import load_manifest
-from mstep.series_algebra import P_ONE, Poly, series_coeffs, series_divide
+from mstep.series_algebra import P_ONE, Poly, RatFun, series_coeffs, series_divide, shift_series
 
 LENGTH = 30
 
@@ -149,3 +150,48 @@ def test_catalog_convolution_tables_equal_the_direct_sum():
             if names not in naive:
                 naive[names] = conv_multi_prefix(names, top - 1)
             assert naive[names] == tables[kernels], names
+
+
+def _ratfun_derivative(f):
+    """d/dx of a RatFun, reduced by RatFun's full gcd."""
+    return RatFun(f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den)
+
+
+def naive_apply_npoly(coeffs, g):
+    """The per-power rule that ``expressions._apply_npoly`` replaced, kept as
+    the reference: x d/dx one power at a time, each by a reduced derivative,
+    a shift and a Henrici add."""
+    acc = RatFun(Poly.const(coeffs[0])) * g if coeffs else RatFun(Poly())
+    power = g
+    for c in coeffs[1:]:
+        power = shift_series(_ratfun_derivative(power), -1)
+        if c:
+            acc = acc + RatFun(Poly.const(c)) * power
+    return acc
+
+
+# degree <= 5 with rational coefficients; the second form ends in zeros
+npoly_coeffs = st.lists(st.one_of(st.just(0), scalars), max_size=6)
+npoly_coeffs = st.one_of(npoly_coeffs, npoly_coeffs.map(lambda cs: cs[:4] + [0, 0]))
+npoly_bases = st.one_of(trees, st.just(ex.const(0)))  # the zero GF too
+
+
+@settings(deadline=None, max_examples=150)
+@given(npoly_coeffs, npoly_bases, st.one_of(st.none(), npoly_coeffs))
+def test_npoly_rule_equals_the_per_power_rule(coeffs, base, second):
+    g = ex.gf_of_expr(base)
+    want = naive_apply_npoly(coeffs, g)
+    assert ex._apply_npoly(Poly(coeffs), g) == want
+    assert ex.gf_of_expr(ex.mul(ex.npoly(*coeffs), base)) == want
+    if second is not None:
+        # the NPoly factors of one product apply as their product
+        got = ex.gf_of_expr(ex.mul(ex.npoly(*coeffs), ex.npoly(*second), base))
+        assert got == naive_apply_npoly(second, want)
+
+
+def test_npoly_rule_on_a_zero_numerator():
+    """npoly(0, 0) * F and 0 * npoly(0, 1) compile to the zero GF."""
+    zero = RatFun(Poly())
+    assert ex.gf_of_expr(ex.mul(ex.npoly(0, 0), ex.term("F"))) == zero
+    assert ex.gf_of_expr(ex.mul(ex.const(0), ex.npoly(0, 1))) == zero
+    assert naive_apply_npoly((0, 0), ex.gf_of_expr(ex.term("F"))) == zero

@@ -1,6 +1,6 @@
 import pytest
 
-from mstep.sequences import RecurrenceSpec, handle, make_mstep, registry, resolve
+from mstep.sequences import RecurrenceSpec, handle, make_mstep, mstep_name, registry, resolve
 
 
 def test_mstep3_prefix():
@@ -80,6 +80,8 @@ def test_mstep_monotone():
 def test_resolve_aliases_and_generic_names():
     assert resolve("J").name == "jacobsthal"
     assert resolve("F4").name == "Q"
+    for m in range(1, 9):
+        assert resolve(f"F{m}") == registry()[mstep_name(m)]
     assert resolve("F9").order == 9
     with pytest.raises(KeyError):
         resolve("nope")
