@@ -27,9 +27,10 @@ into memoised convolution tables (columns are not memoised);
 ``evaluate(expr, n)`` is a view of it with a memo of the root column.
 A table multiplies in each further kernel through the denominator D of
 the kernel's generating function (D = 1 when ``gf_of_expr`` raises
-NotCompilable for it): with E = D*kernel, which has finite support when
-D is right, the table is (table*E)/D, so it costs linear, not quadratic,
-time in its length.
+NotCompilable for it), or through (1-x)*D when that has fewer nonzero
+coefficients: with E = D*kernel, which has finite support when D is
+right, the table is (table*E)/D, so it costs linear, not quadratic, time
+in its length.
 Every number (node scalars and column values alike) is an int when it is
 integral and a Fraction only when it is not, the rule of
 ``series_algebra``.  Brute-force simplex enumeration lives only in
@@ -46,14 +47,17 @@ the denominator and r its squarefree part; it takes one gcd, gcd(D, D').
 A ``Sum`` adds the numerators of children over one denominator with one
 gcd, uses a lone child as it is and adds these groups by Henrici.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
-``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs).  None is bounded;
-:func:`clear_caches` empties all four.
+``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs); :func:`clear_caches`
+empties all four.  Only ``_CONV_CACHE`` is bounded, and only inside
+``identity_catalog.verdicts``: that loop plans every table with
+:func:`plan_tables`, so ``_conv_table`` builds each kernel tuple once, at
+its longest use, and the loop drops the table after its last user.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -191,6 +195,7 @@ def evaluate(expr: SeqExpr, n: int):
 
 _RANGE_CACHE: dict = {}  # root columns of pointwise evaluate
 _CONV_CACHE: dict = {}  # convolution tables, shared across trees
+_CONV_PLAN: dict = {}  # kernel key -> table length to build, set only for a verdict loop
 
 
 def clear_caches() -> None:
@@ -241,16 +246,37 @@ def evaluate_range(expr: SeqExpr, length: int) -> list:
     raise TypeError(f"not a SeqExpr: {expr!r}")
 
 
+def _conv_key(kernels: tuple) -> tuple:
+    """The cache key of a kernel tuple: kernel order does not matter."""
+    return tuple(sorted(kernels, key=repr))
+
+
+def plan_tables(expr: SeqExpr, length: int, plan: dict) -> None:
+    """Record in ``plan`` (kernel key -> length) the longest table that
+    ``evaluate_range(expr, length)`` reads per kernel tuple, including the
+    tables its kernels read at the outer table's length."""
+    if isinstance(expr, ConvAtom):
+        length += expr.offset  # the table length, top + 1
+        if length <= 0:
+            return
+        key = _conv_key(expr.kernels)
+        plan[key] = max(plan.get(key, 0), length)
+    for child in expr:
+        if isinstance(child, tuple):  # a node or a tuple of nodes
+            plan_tables(child, length, plan)
+
+
 def _conv_table(kernels: tuple, length: int) -> list:
     """Simplex-sum table for a kernel tuple: table[b] = sum over K(l, b).
 
-    For one kernel this is the running partial sum.  Kernel order does not
-    matter, so the cache key is the sorted tuple.
+    For one kernel this is the running partial sum.  A table is built at
+    the longer of ``length`` and its planned length in ``_CONV_PLAN``.
     """
-    key = tuple(sorted(kernels, key=repr))
+    key = _conv_key(kernels)
     cached = _CONV_CACHE.get(key)
     if cached is not None and len(cached) >= length:
         return cached
+    length = max(length, _CONV_PLAN.get(key, 0))
     if len(key) == 1:
         out = [_coeff(v) for v in accumulate(evaluate_range(key[0], length))]
     else:
@@ -260,9 +286,16 @@ def _conv_table(kernels: tuple, length: int) -> list:
                 den = gf_of_expr(kern).den
             except NotCompilable:
                 den = P_ONE
-            out = _convolve(out, evaluate_range(kern, length), den)
+            out = _convolve(out, evaluate_range(kern, length), _sparse_hint(den))
     _CONV_CACHE[key] = out
     return out
+
+
+def _sparse_hint(den: Poly) -> Poly:
+    """den or (1-x)*den, whichever has fewer nonzero coefficients: for
+    F^(m) the second is 1 - 2x + x^(m+1), three terms for any m."""
+    telescoped = den * _RF_ONES.den
+    return telescoped if sum(map(bool, telescoped.coeffs)) < sum(map(bool, den.coeffs)) else den
 
 
 def _convolve(a: list, b: list, den: Poly) -> list:
@@ -398,9 +431,17 @@ MAX_SHIFT = 1_000
 # Largest summed npoly degree (len(coeffs) - 1 over every npoly node) of one
 # --manifest side, the catalog's own (pell_FFF_npoly: 1 + 1 + 2 + 2).  Each
 # degree raises a GF denominator's power by one, through nested products and
-# conv kernels alike.  At the cap, npoly times F500 takes 3.0-3.3 s under a
-# cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM (README, caps).
+# conv kernels alike.  At the cap, npoly times F57 (just under MAX_DEN_DEGREE)
+# takes 0.1 s under a cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM.
 MAX_NPOLY_DEGREE = 6
+
+# Largest ``den_degree`` of one --manifest side, which bounds the degree of
+# its GF denominator (the catalog's largest is 25, reduce_odd_l2_m3).  It is
+# below MAX_MSTEP_ORDER because the PRS gcd of dense coprime operands grows
+# steeply: the slowest shape found, conv(F211 + F2, F3 + ... + F19), takes
+# 2.6 s at the cap under a cold `verify --all --max-n 2000 --symbolic` (0.4 s
+# without), and the same shape at 480 takes 7.4 s, 2-vCPU VM (README, caps).
+MAX_DEN_DEGREE = 400
 
 # Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
 # Evaluation and compilation recurse per level: a `sum` chain 500 deep
@@ -422,6 +463,46 @@ def npoly_degree(expr: SeqExpr) -> int:
     if isinstance(expr, NPoly):
         return max(len(expr.coeffs) - 1, 0)
     return sum(npoly_degree(c) for c in expr if isinstance(c, tuple))  # nodes are tuples
+
+
+def den_degree(expr: SeqExpr) -> int:
+    """An upper bound on the degree of ``gf_of_expr(expr).den``."""
+    return sum(degree * m for (_, degree, _), m in _den_factors(expr).items())
+
+
+_ONES_FACTOR = ("1-x", 1, 1)  # a denominator factor: (label, degree, 1 for x or -1 for -x)
+
+
+def _den_factors(expr: SeqExpr) -> Counter:
+    """Factor -> multiplicity in a multiple of ``gf_of_expr(expr).den``.
+    Factors with distinct labels count as coprime, so a sum or a product
+    takes each factor's largest multiplicity over its children, a conv adds
+    its kernels' (and one 1 - x for a lone kernel), Alt maps x to -x and the
+    NPoly factors of a product add their degree to every factor."""
+    if isinstance(expr, Term):
+        spec = resolve(expr.seq)
+        return Counter({(spec.name, spec.order, 1): 1})
+    if isinstance(expr, Geo2):
+        return Counter({("1-2x", 1, 1): 1})
+    if isinstance(expr, Scale):
+        return _den_factors(expr.child)
+    out = Counter()
+    if isinstance(expr, ConvAtom):
+        for kern in expr.kernels:
+            out += _den_factors(kern)
+        return out + Counter({_ONES_FACTOR: 1}) if len(expr.kernels) == 1 else out
+    if isinstance(expr, Sum):
+        for t in expr.terms:
+            out |= _den_factors(t)
+        return out
+    factors = expr.factors if isinstance(expr, Product) else (expr,)
+    for f in factors:
+        if not isinstance(f, _SCALARS):
+            out |= _den_factors(f)
+    sign = (-1) ** sum(isinstance(f, Alt) for f in factors)
+    rise = sum(npoly_degree(f) for f in factors if isinstance(f, NPoly))
+    return Counter({(label, degree, s * sign): m + rise
+                    for (label, degree, s), m in (out or {_ONES_FACTOR: 1}).items()})
 
 
 def number_from_json(value):

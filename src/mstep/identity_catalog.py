@@ -154,6 +154,37 @@ def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> tup
     return rep.passed, rep
 
 
+def verdicts(idents, n_max: int = 200, symbolic: bool = False) -> list:
+    """(identity, ok, report) for each entry in id order, as :func:`verdict`
+    decides it.
+
+    One walk of the seq sides first plans the convolution tables
+    (``expressions.plan_tables``): each kernel tuple is built once, at the
+    longest length any entry reads, and leaves ``expressions._CONV_CACHE``
+    after the last entry that reads it.
+    """
+    idents = sorted(idents, key=lambda i: i.id)
+    plan, drop_after = ex._CONV_PLAN, [[] for _ in idents]
+    for ident, drops in zip(reversed(idents), reversed(drop_after)):
+        reads = {}
+        if ident.kind == "seq":
+            ex.plan_tables(ident.lhs, n_max + 1, reads)
+            ex.plan_tables(ident.rhs, n_max + 1, reads)
+        for key, length in reads.items():
+            if key not in plan:  # walking backwards, the first reader met is the last
+                drops.append(key)
+            plan[key] = max(plan.get(key, 0), length)
+    out = []
+    try:
+        for ident, drops in zip(idents, drop_after):
+            out.append((ident, *verdict(ident, n_max, symbolic)))
+            for key in drops:
+                ex._CONV_CACHE.pop(key, None)
+    finally:
+        plan.clear()
+    return out
+
+
 def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:
     """Check a documented-misprint entry: it must fail exactly as recorded.
 
@@ -271,9 +302,11 @@ def identity_from_json(entry: dict) -> Identity:
         lhs, rhs = _gf_from_json(entry["lhs"]), _gf_from_json(entry["rhs"])
     elif kind == "seq":
         lhs, rhs = ex.expr_from_json(entry["lhs"]), ex.expr_from_json(entry["rhs"])
-        degree, cap = max(ex.npoly_degree(lhs), ex.npoly_degree(rhs)), ex.MAX_NPOLY_DEGREE
-        if degree > cap:
-            raise ValueError(f"npoly degree {degree} of a side exceeds the cap {cap}")
+        for what, measure, cap in (("npoly degree", ex.npoly_degree, ex.MAX_NPOLY_DEGREE),
+                                   ("GF denominator degree bound", ex.den_degree, ex.MAX_DEN_DEGREE)):
+            degree = max(measure(lhs), measure(rhs))
+            if degree > cap:
+                raise ValueError(f"{what} {degree} of a side exceeds the cap {cap}")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
     id_, n0, negative = entry["id"], entry.get("n0", 0), entry.get("negative")
@@ -309,8 +342,9 @@ def load_manifest(path=None) -> list:
     such as "1/0", 1e400 or "1e5000" (``expressions.number_from_json``),
     a gf entry with n0 != 0 or a ``negative`` block, trees above
     ``expressions.MAX_DEPTH`` or too deep to parse, and a seq side whose
-    npoly degrees sum above ``expressions.MAX_NPOLY_DEGREE``.  Either way,
-    a repeated id raises ValueError.
+    npoly degrees sum above ``expressions.MAX_NPOLY_DEGREE`` or whose GF
+    denominator may exceed degree ``expressions.MAX_DEN_DEGREE``.  Either
+    way, a repeated id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one

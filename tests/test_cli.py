@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mstep.cli import main
-from mstep.expressions import MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
+from mstep.expressions import MAX_DEN_DEGREE, MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
@@ -428,6 +428,26 @@ def test_manifest_npoly_degree_above_the_cap_is_a_json_error(tmp_path, capsys, s
         assert "steep" in doc["detail"] and f"exceeds the cap {MAX_NPOLY_DEGREE}" in doc["detail"]
     entry = {"id": "at_cap", "kind": "seq", "lhs": side(MAX_NPOLY_DEGREE),
              "rhs": side(MAX_NPOLY_DEGREE), "n0": 0}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"identities": [entry]}))
+    for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
+        code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+        assert code == 0 and f"PASS at_cap ({mode})" in out
+
+
+@pytest.mark.parametrize("above", [
+    ["conv", [["term", f"F{MAX_DEN_DEGREE}", 0]], 0],  # a lone kernel adds 1 - x
+    ["sum", ["term", f"F{MAX_DEN_DEGREE}", 0], ["product", ["alt", 0], ["term", "F1", 0]]],
+    ["product", ["npoly", ["0", "1"]], ["term", f"F{MAX_DEN_DEGREE // 2 + 1}", 0]],
+], ids=["conv", "alt", "npoly"])
+def test_manifest_denominator_degree_above_the_cap_is_a_json_error(tmp_path, capsys, above):
+    entry = {"id": "wide", "kind": "seq", "lhs": ["term", "F", 0], "rhs": above, "n0": 0}
+    for flags in ((), ("--symbolic",)):
+        code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]}, *flags)
+        assert code == 2 and doc["error"] == "ValueError"
+        assert "wide" in doc["detail"] and f"exceeds the cap {MAX_DEN_DEGREE}" in doc["detail"]
+    side = ["sum", ["term", f"F{MAX_DEN_DEGREE}", 2], ["term", f"F{MAX_DEN_DEGREE}", -1]]
+    entry = {"id": "at_cap", "kind": "seq", "lhs": side, "rhs": side, "n0": 0}
     path = tmp_path / "cap.json"
     path.write_text(json.dumps({"identities": [entry]}))
     for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):

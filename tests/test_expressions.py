@@ -6,7 +6,7 @@ import pytest
 from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
-from mstep.identity_catalog import Identity, verify
+from mstep.identity_catalog import Identity, verdict, verify
 from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
@@ -240,7 +240,77 @@ def test_verify_all_leaves_no_columns_cached(capsys):
     assert main(["verify", "--all", "--max-n", "200"]) == 0
     capsys.readouterr()
     assert ex._RANGE_CACHE == {}
-    assert ex._CONV_CACHE
+    assert ex._CONV_CACHE == {} and ex._CONV_PLAN == {}
+
+
+class _CountingCache(dict):
+    """A table cache that records every key stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, table):
+        self.stored.append(key)
+        super().__setitem__(key, table)
+
+
+def test_verify_all_builds_each_table_once(capsys, monkeypatch):
+    ex.clear_caches()
+    cache = _CountingCache()
+    monkeypatch.setattr(ex, "_CONV_CACHE", cache)
+    assert main(["verify", "--all", "--max-n", "200"]) == 0
+    capsys.readouterr()
+    assert len(cache.stored) == len(set(cache.stored)) == 136
+    assert cache == {}
+
+
+# One tuple read on its own, then at a longer length from a conv kernel, and
+# one tuple read at two offsets (c_offsets fails at n = 0, so stdout
+# carries table values).
+_NESTED_MANIFEST = {"identities": [
+    {"id": "a_partial_sum", "kind": "seq", "n0": 0,
+     "lhs": ["conv", [["term", "T", 0]], 5],
+     "rhs": ["sum", ["conv", [["term", "T", 0]], 4], ["term", "T", 5]]},
+    {"id": "b_nested", "kind": "seq", "n0": 0,
+     "lhs": ["conv", [["term", "F", 0], ["conv", [["term", "T", 0]], 0]], 7],
+     "rhs": ["conv", [["term", "F", 0], ["term", "T", 0], ["const", "1"]], 7]},
+    {"id": "c_offsets", "kind": "seq", "n0": 0,
+     "lhs": ["conv", [["term", "T", 0], ["term", "F", 0]], 3],
+     "rhs": ["conv", [["term", "F", 0], ["term", "T", 0]], -2]},
+]}
+
+
+@pytest.mark.parametrize("flags", [(), ("--format", "json")])
+def test_planned_tables_on_nested_convs(tmp_path, capsys, monkeypatch, flags):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_NESTED_MANIFEST))
+    argv = ["verify", "--all", "--max-n", "60", "--manifest", str(path), *flags]
+    cache = _CountingCache()
+    monkeypatch.setattr(ex, "_CONV_CACHE", cache)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert len(cache.stored) == len(set(cache.stored)) == 4
+    assert cache == {} and ex._CONV_PLAN == {}
+    # Without a plan, tables are built on demand and kept, as in library use.
+    monkeypatch.setattr(ex, "plan_tables", lambda expr, length, plan: None)
+    monkeypatch.setattr(ex, "_CONV_CACHE", {})
+    assert (main(argv), capsys.readouterr().out) == (code, out)
+    if flags:
+        passed = {doc["id"]: doc["pass"] for doc in json.loads(out)}
+    else:
+        passed = {line.split()[1]: line.startswith("PASS") for line in out.splitlines()[:-1]}
+    assert code == 1 and passed == {"a_partial_sum": True, "b_nested": True, "c_offsets": False}
+
+
+def test_verdict_called_directly_keeps_its_tables():
+    # sum_{j <= n+2} T_j = (T_(n+4) + T_(n+2) - 1)/2
+    ident = Identity("partial_sum_T", "seq", ex.conv(ex.term("T"), offset=2),
+                     ex.scale(Fraction(1, 2), ex.add(ex.term("T", 4), ex.term("T", 2),
+                                                     ex.const(-1))))
+    ex.clear_caches()
+    assert verdict(ident, 50)[0]
+    assert list(ex._CONV_CACHE) == [(ex.term("T"),)] and ex._CONV_PLAN == {}
 
 
 def test_clear_caches_empties_the_gf_memo():

@@ -3,7 +3,8 @@ rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
 compiled generating function, and every integral value is an int.  A sum's
 GF equals the one-at-a-time Henrici fold of its children's GFs.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
-so does every multi-kernel convolution table of the catalog.  The npoly
+so does every multi-kernel convolution table of the catalog.
+``den_degree`` bounds the degree of the compiled denominator.  The npoly
 rule equals the per-power rule it replaced, kept here as the reference."""
 
 from fractions import Fraction
@@ -74,6 +75,7 @@ def direct_product(a, b):
     return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
 
 
+ONE_MINUS_X = Poly((1, -1))
 numbers = st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=5))
 # any hint with D(0) != 0: D = 1, hints that annihilate b, and hints that do not
 hints = st.one_of(
@@ -93,6 +95,8 @@ def convolution_inputs(draw):
         b = series_divide(draw(st.lists(numbers, max_size=6)), den, length)
     else:
         b = draw(column)
+    if draw(st.booleans()):
+        den = den * ONE_MINUS_X  # the telescoped hint _conv_table may choose
     return draw(column), b, den
 
 
@@ -103,6 +107,32 @@ def test_convolve_equals_the_direct_sum_for_any_hint(inputs):
     got = ex._convolve(a, b, den)
     assert got == direct_product(a, b)
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in got)
+
+
+def test_mstep_tables_use_the_three_term_hint(monkeypatch):
+    hints = []
+    real = ex._convolve
+
+    def recorded(a, b, den):
+        hints.append(den)
+        return real(a, b, den)
+
+    monkeypatch.setattr(ex, "_convolve", recorded)
+    ex.clear_caches()
+    for name in ("F5", "F", "pell", "jacobsthal", "pow2"):
+        # Const sorts before Term, so the term is the kernel multiplied in
+        ex.evaluate_range(ex.conv(ex.const(1), ex.term(name)), LENGTH)
+    f5, f, pell, jacobsthal, pow2 = hints
+    assert f5 == Poly((1, -2, 0, 0, 0, 0, 1))  # (1-x)(1 - x - ... - x^5)
+    for name, hint in (("F", f), ("pell", pell), ("jacobsthal", jacobsthal), ("pow2", pow2)):
+        assert hint == ex.gf_of_expr(ex.term(name)).den, name
+    ex.clear_caches()
+
+
+@settings(deadline=None, max_examples=150)
+@given(trees)
+def test_den_degree_bounds_the_gf_denominator(e):
+    assert ex.gf_of_expr(e).den.degree <= ex.den_degree(e)
 
 
 def _conv_atoms(e, found):

@@ -32,6 +32,13 @@ def test_every_traced_layer_name_resolves():
                 assert callable(owner), f"{mod_name}.{name}"
 
 
+def test_traced_cache_tables_exist():
+    # the tracer's cache_entries reads these by name
+    from mstep import expressions
+
+    assert type(expressions._RANGE_CACHE) is dict and type(expressions._CONV_CACHE) is dict
+
+
 @pytest.mark.parametrize("span, argv", [
     ("pattern_search.search", ["search", "--m", "2"]),
     ("closed_form_solver.solve_conv_multi", ["solve", "--factors", "P,F,F9"]),
