@@ -235,8 +235,8 @@ def solve_conv_multi(specs) -> ClosedForm:
     parts = []
     for spec, g in zip(specs, gfs):
         d = g.den
-        # The cofactor mod d gives the same inverse from a PRS of degree deg d.
-        u, _, _ = bezout((den // d) % d, d)  # coprime, so u*(D/D_i) = 1 mod D_i
+        # D/D_i mod D_i gives the same inverse from a PRS of degree deg D_i.
+        u, _ = bezout((den // d) % d, d)  # coprime: g = 1, u*(D/D_i) = 1 mod D_i
         a_i = (rem * u) % d
         combo, extra = _fraction_to_shifts(g, a_i)
         parts.append((spec, combo))
@@ -274,7 +274,7 @@ def _fraction_to_shifts(g: RatFun, a: Poly):
                 combo[val - k] = Fraction(c, c0)
         return combo, Poly()
     # gf_of is in lowest terms, so alpha*num = 1 mod den.
-    alpha, _, _ = bezout(num, g.den)
+    alpha, _ = bezout(num, g.den)
     c_part = (a * alpha) % g.den
     combo = {-k: c for k, c in enumerate(c_part.coeffs) if c}
     extra = (a - c_part * num) // g.den

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .sequences import handle, make_mstep
+from .sequences import make_mstep
 
 
 class PatternSolution(namedtuple("PatternSolution", "m K p N l")):
@@ -126,15 +126,3 @@ def search(m: int, p_max: int, k_card_max: int, k_span_max: int,
     solutions.sort(key=lambda s: (s.p, s.K, s.l))
     return solutions
 
-
-def verify_solution(sol: PatternSolution, n_count: int = 50) -> bool:
-    """Independent numeric confirmation over n = 0 .. n_count, straight from
-    the memoized sequence (no kernel reasoning)."""
-    if n_count < 0:
-        raise ValueError("n_count must be >= 0: an empty range proves nothing")
-    h = handle(make_mstep(sol.m))
-    for n in range(n_count + 1):
-        lhs = sum(h.term(n + j + k) for k in sol.K for j in range(sol.p))
-        if lhs != sol.N * h.term(n + sol.l):
-            return False
-    return True

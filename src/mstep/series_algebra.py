@@ -4,11 +4,11 @@ This is the proof engine behind every generating-function identity in the
 package: dense polynomials whose coefficients are ``int`` wherever the value
 is an integer and ``fractions.Fraction`` only where it is not, a canonical
 rational-function type whose structural equality coincides with
-mathematical equality, Bezout certificates for partial fractions,
+mathematical equality, Bezout inverses for partial fractions,
 Taylor-coefficient extraction, and the x -> -x substitution used by the
 alternating-sum identities.
 
-Polynomial gcds and Bezout certificates are fraction-free: one primitive
+Polynomial gcds and Bezout inverses are fraction-free: one primitive
 polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
 integer pseudo-remainders and divides out their content after every step.
 
@@ -276,24 +276,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def bezout(a: Poly, b: Poly):
-    """Extended Euclid: returns (u, v, g) with u*a + v*b = g = gcd(a, b).
+    """Extended Euclid's one cofactor: returns (u, g) with g = gcd(a, b) and
+    u*a = g (mod b), so u is the inverse of a mod b when they are coprime.
 
-    ``poly_gcd``'s PRS runs on integral rows x^(2w) r + x^w s + t from
-    (a, 1, 0) and (b, 0, 1), w > deg a, deg b >= deg t, deg s; it divides r
-    alone and every row keeps s*a + t*b = r.  The last row with r != 0 has
-    r = c*g; (u, v) = (s, t)/c is Euclid's last certificate, so deg u <
-    deg b - deg g and deg v < deg a - deg g when a/g, b/g are nonconstant.
+    ``poly_gcd``'s PRS runs on integral rows x^w r + s from (a, 1) and
+    (b, 0), w > deg a, deg b > deg s; it divides r alone and every row keeps
+    s*a = r (mod b).  The last row with r != 0 has r = c*g; u = s/c is
+    Euclid's last cofactor, so deg u < deg b - deg g when b != 0 (u = 0 when
+    b | a).
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("bezout of two zero polynomials")
     w = max(len(a.coeffs), len(b.coeffs))
-    pad = (0,) * w
-    cs = _prs(Poly(pad + (1,) + pad[1:] + a.coeffs).primitive(),
-              Poly((1,) + pad[1:] + pad + b.coeffs).primitive(), 2 * w).coeffs
-    g = Poly(cs[2 * w:]).primitive()
-    c = cs[2 * w + g.valuation()] // g[g.valuation()]
-    u, v = (Poly([_div(x, c) for x in part]) for part in (cs[w:2 * w], cs[:w]))
-    return u, v, g
+    pad = (0,) * (w - 1)
+    cs = _prs(Poly((1,) + pad + a.coeffs).primitive(),
+              Poly(pad + (0,) + b.coeffs).primitive(), w).coeffs
+    g = Poly(cs[w:]).primitive()
+    c = cs[w + g.valuation()] // g[g.valuation()]
+    return Poly([_div(x, c) for x in cs[:w]]), g
 
 
 class NotAPowerSeries(ValueError):

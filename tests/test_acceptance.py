@@ -23,7 +23,7 @@ from mstep.identity_catalog import (
     verify_numeric,
     verify_symbolic,
 )
-from mstep.pattern_search import PatternSolution, search, verify_solution
+from mstep.pattern_search import PatternSolution, search
 from mstep.sequences import handle, make_mstep, resolve
 
 
@@ -183,7 +183,7 @@ def test_misprint_regressions():
           "corrected index forms pass to n=200")
 
 
-def test_pattern_search_rediscovers_known_solutions():
+def test_pattern_search_rediscovers_known_solutions(verify_solution):
     total = 0
     for m in range(2, 7):
         sols = search(m, p_max=14, k_card_max=3, k_span_max=6)

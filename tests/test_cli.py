@@ -607,6 +607,15 @@ def test_each_command_runs_only_the_layers_it_uses():
         assert not _loaded_by(*argv)[1], argv
 
 
+def test_every_exported_name_resolves():
+    # A name left in the lazy export table after its function is gone would
+    # fail only when someone imports it.
+    import mstep
+
+    for name in mstep.__all__:
+        assert getattr(mstep, name) is not None, name
+
+
 @pytest.mark.parametrize("argv", [["mstep.cli", "seq", "--name", "F", "--to", "3"],
                                   ["mstep.manifest_build"]])
 def test_python_m_runs_without_a_runpy_warning(argv):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstep.pattern_search import PatternSolution, _split, search, verify_solution
+from mstep.pattern_search import PatternSolution, _split, search
 from mstep.sequences import handle, make_mstep
 from mstep.series_algebra import P_ONE, P_ZERO, Poly, gf_of
 
@@ -67,7 +67,7 @@ def test_lemma_family_found_for_each_m():
         assert PatternSolution(m, (0,), 2 * m + 2, Fraction(4), 2 * m) in sols
 
 
-def test_every_solution_verifies_independently():
+def test_every_solution_verifies_independently(verify_solution):
     for m in (2, 3, 4):
         for sol in search(m, p_max=10, k_card_max=3, k_span_max=4):
             assert verify_solution(sol, 50)
@@ -145,7 +145,7 @@ def test_default_l_range_is_exhaustive_up_to_40():
         assert search(m, 14, 3, 6, l_window=40) == search(m, 14, 3, 6)
 
 
-def test_verify_solution_rejects_an_empty_range():
+def test_verify_solution_rejects_an_empty_range(verify_solution):
     false_sol = PatternSolution(2, (0,), 1, Fraction(7), 3)
     assert not verify_solution(false_sol, 0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -61,25 +62,27 @@ def test_bezout_certificate_random():
         b = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 9))])
         if a.is_zero() and b.is_zero():
             continue
-        u, v, g = bezout(a, b)
-        assert u * a + v * b == g
+        u, g = bezout(a, b)
         assert g == poly_gcd(a, b)
-        bg, ag = (b // g if g else b), (a // g if g else a)
-        if bg.degree > 0 and not u.is_zero():
-            assert u.degree < bg.degree
-        if ag.degree > 0 and not v.is_zero():
-            assert v.degree < ag.degree
+        if b.is_zero():
+            assert u * a == g
+        else:
+            assert ((u * a - g) % b).is_zero()
+            assert u.degree < b.degree - g.degree
 
 
 def test_bezout_examples():
-    u, v, g = bezout(P(1, -1, -1), P(1, -1, -1, -1))
-    assert g == P_ONE and u * P(1, -1, -1) + v * P(1, -1, -1, -1) == P_ONE
+    a, b = P(1, -1, -1), P(1, -1, -1, -1)
+    u, g = bezout(a, b)
+    assert g == P_ONE and u == P(4, 3, 2) and (u * a % b) == P_ONE
     p = P(2, 0, -4)
-    u, v, g = bezout(p, p)
-    assert g == p.primitive()
-    assert u * p + v * p == g
-    u, v, g = bezout(P(1, -2), P(1, -2) * P(1, 1))
-    assert g == P(1, -2)
+    assert bezout(p, p) == (Poly(), p.primitive())
+    # a | b: u*a = g = a up to content, so u is a constant
+    assert bezout(P(1, -2), P(1, -2) * P(1, 1)) == (P_ONE, P(1, -2))
+    assert bezout(Poly(), P(2, 4)) == (Poly(), P(1, 2))
+    assert bezout(P(2, 4), Poly()) == (P(Fraction(1, 2)), P(1, 2))
+    with pytest.raises(ValueError):
+        bezout(Poly(), Poly())
 
 
 def test_ratfun_canonical_equality():
