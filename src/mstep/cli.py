@@ -5,13 +5,15 @@ deterministic text or JSON (rationals and big integers rendered as strings
 so nothing loses precision).  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 usage or solver errors and inputs above the
 caps below (reported as a JSON object {"error": ..., "detail": ...} on
-stdout).
+stdout), 141 when stdout closes early (as in `mstep table | head -1`),
+the status a shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # Layers as modules: mstep loads each on its first attribute read, so a
@@ -24,24 +26,22 @@ from . import pattern_search, sequences
 from . import series_algebra as sa
 
 # Caps on numeric input, so that one invocation stays within seconds and
-# bounded memory; a larger value exits 2.  Times at each cap, 2-vCPU VM,
-# Python 3.11: `seq --name F --to 10000` 0.5 s, `conv` with 12 factors
-# and `--n 1000` 2.7 s, `solve --factors F,T,Q,P --oracle-n 500` 0.3 s,
-# `table --max 14 --oracle-n 500` 2.8 s, `verify --all --max-n 2000`
-# 0.8 s (31 MB), `search` at the four search caps 0.2-0.5 s for each of
-# m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
+# bounded memory; a larger value exits 2.  Times at each cap, cold, 2-vCPU
+# VM, Python 3.11: `seq --name F --to 10000` 0.3 s, `conv` with 12 factors
+# (F,T,Q,P,F6,...,F13) and `--n 1000` 1.4 s, `solve --factors F,T,Q,P
+# --oracle-n 500` 0.2 s, `table --max 14 --oracle-n 500` 1.7 s, `verify
+# --all --max-n 2000` 0.8 s (31 MB), `search` at the four search caps under
+# 0.1 s for each of m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
 # sequences.MAX_MSTEP_ORDER.)
 #
-# `solve`'s summed-order cap bounds the product GF's degree.  The slowest
-# shape found, one large factor against eleven small ones
-# (`F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71`), takes 0.22 s at the cap with
-# `--oracle-n 0` and 0.5 s with `--oracle-n 500`.
+# `solve`'s summed order of the factors is exactly the product GF's
+# denominator degree, so it is capped by expressions.MAX_DEN_DEGREE, whose
+# comment times the slowest shape found at the cap.
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
 MAX_ORACLE_N = 500  # solve and table --oracle-n: the same oracle, once per cell
 MAX_FACTORS = 12  # conv and solve --factors: each factor is one more oracle pass
-MAX_SOLVE_ORDER = 120  # solve --factors: summed recurrence order = product GF degree
 MAX_TABLE_SUM = 14  # table --max: (N - 2)(N - 1)/2 cells, one solve each
 MAX_VERIFY_N = 2_000  # verify --max-n: n values of about 0.7n bits per column
 MAX_SEARCH_P = 16  # search --max-p
@@ -112,6 +112,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # stdout closed early: no traceback, and the exit flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -119,6 +130,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.run(args)
+    except BrokenPipeError:
+        raise
     except (solver.SolverError, ValueError, KeyError, OSError) as exc:
         detail = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": type(exc).__name__, "detail": detail}))
@@ -215,7 +228,7 @@ def _cmd_solve(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     factors = _factors(args)
     order = sum(sequences.resolve(f).order for f in factors)
-    _at_most(order, MAX_SOLVE_ORDER, "summed order of the factors")
+    _at_most(order, ex.MAX_DEN_DEGREE, "summed order of the factors")
     cf = solver.solve_conv_multi(factors)
     oracle_ok = cf.check_oracle(args.oracle_n)
     if args.format == "json":

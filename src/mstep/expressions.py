@@ -435,12 +435,16 @@ MAX_SHIFT = 1_000
 # takes 0.1 s under a cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM.
 MAX_NPOLY_DEGREE = 6
 
-# Largest ``den_degree`` of one --manifest side, which bounds the degree of
-# its GF denominator (the catalog's largest is 25, reduce_odd_l2_m3).  It is
-# below MAX_MSTEP_ORDER because the PRS gcd of dense coprime operands grows
-# steeply: the slowest shape found, conv(F211 + F2, F3 + ... + F19), takes
-# 2.6 s at the cap under a cold `verify --all --max-n 2000 --symbolic` (0.4 s
-# without), and the same shape at 480 takes 7.4 s, 2-vCPU VM (README, caps).
+# Largest GF denominator degree, with two users.  It caps the ``den_degree``
+# of one --manifest side (identity_catalog; the catalog's largest is 25,
+# reduce_odd_l2_m3), and the summed order of `solve --factors` (cli), which
+# is the product GF's denominator degree.  It is below MAX_MSTEP_ORDER
+# because the PRS gcd of dense coprime operands grows steeply.  Slowest
+# shapes found at the cap, cold, 2-vCPU VM (README, caps): the manifest side
+# conv(F211 + F2, F3 + ... + F19) takes 2.6 s under `verify --all --max-n
+# 2000 --symbolic` (0.4 s without; 7.4 s at 480), and `solve --factors
+# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F351` 3.2 s (3.5 s and 84 MB with
+# `--oracle-n 500`).
 MAX_DEN_DEGREE = 400
 
 # Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).

@@ -125,32 +125,20 @@ def verify_symbolic(identity: Identity) -> VerifyReport | None:
     )
 
 
-def verify(identity: Identity, n_max: int = 200, symbolic: bool = False) -> VerifyReport:
-    """Proof or numeric check of one entry, ignoring any ``negative`` block.
-
-    GF entries are always symbolic.  For sequence entries, ``symbolic=True``
-    attempts the generating-function proof first and falls back to the
-    numeric check when a side is not compilable.
-    """
-    if identity.kind == "gf":
-        return verify_symbolic(identity)
-    if symbolic:
-        rep = verify_symbolic(identity)
-        if rep is not None:
-            return rep
-    return verify_numeric(identity, n_max)
-
-
 def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> tuple:
     """The catalog's decision for one entry, as (ok, report).
 
     A documented misprint is ok when it fails exactly as recorded
-    (:func:`negative_as_documented`); any other entry is ok when
-    :func:`verify` passes it.
+    (:func:`negative_as_documented`).  Any other entry is ok when its report
+    passes: GF entries are always proved symbolically; for sequence entries,
+    ``symbolic=True`` attempts the generating-function proof first and falls
+    back to the numeric check when a side is not compilable.
     """
     if identity.negative:
         return negative_as_documented(identity, n_max)
-    rep = verify(identity, n_max, symbolic)
+    rep = verify_symbolic(identity) if identity.kind == "gf" or symbolic else None
+    if rep is None:
+        rep = verify_numeric(identity, n_max)
     return rep.passed, rep
 
 

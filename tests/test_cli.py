@@ -179,18 +179,20 @@ def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
     ["search", "--m", "2", "--max-k", "1000000000"],
     ["search", "--m", "2", "--max-span", "1000000000"],
     ["search", "--m", "2", "--l-window", "1000000000"],
-    ["solve", "--factors", "F60,F61", "--oracle-n", "0"],  # summed order 121
+    ["solve", "--factors", "F200,F201", "--oracle-n", "0"],  # summed order 401
 ])
 def test_inputs_above_the_caps_exit_2(capsys, argv):
     code, out = run(capsys, *argv)
     doc = json.loads(out)
     assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
+    if "F200,F201" in argv:
+        assert f"exceeds the cap {MAX_DEN_DEGREE}" in doc["detail"]
 
 
 def test_solve_at_the_summed_order_cap(capsys):
-    """Summed order 120, the slowest shape at the cap (cli.MAX_SOLVE_ORDER)."""
-    factors = "F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F71"
-    code, out = run(capsys, "solve", "--factors", factors, "--oracle-n", "0")
+    """Summed order 400, the product GF's degree at expressions.MAX_DEN_DEGREE
+    (the slowest shape at the cap is timed beside that constant)."""
+    code, out = run(capsys, "solve", "--factors", "F199,F201", "--oracle-n", "0")
     doc = json.loads(out)
     assert code == 0 and doc["verified"]["gf_equal"] is True
 
@@ -599,12 +601,12 @@ def test_each_command_runs_only_the_layers_it_uses():
     assert not loaded & {"mstep.closed_form_solver", "mstep.pattern_search",
                          "mstep.convolution_oracle"}
     assert not dataclasses
-    loaded, dataclasses = _loaded_by("solve", "--factors", "F,T")
-    assert "mstep.closed_form_solver" in loaded
-    assert not loaded & {"mstep.identity_catalog", "mstep.pattern_search"}
-    assert not dataclasses
-    for argv in (["table", "--max", "4"], ["gfcheck", "--id", "gf_adjacent_m2"]):
-        assert not _loaded_by(*argv)[1], argv
+    for argv in (["solve", "--factors", "F,T"], ["table", "--max", "4"]):
+        loaded, dataclasses = _loaded_by(*argv)
+        assert "mstep.closed_form_solver" in loaded, argv
+        assert not loaded & {"mstep.identity_catalog", "mstep.pattern_search"}, argv
+        assert not dataclasses, argv
+    assert not _loaded_by("gfcheck", "--id", "gf_adjacent_m2")[1]
 
 
 def test_every_exported_name_resolves():
@@ -623,3 +625,23 @@ def test_python_m_runs_without_a_runpy_warning(argv):
     # it would be if the package registered it lazily.
     proc = _python("-W", "error", "-m", *argv)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout (in print when unbuffered, else in the final flush) fails.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mstep.cli", "seq", "--name", "F",
+                               "--to", "10"], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

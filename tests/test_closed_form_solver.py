@@ -117,10 +117,10 @@ def test_derive_case_hexanacci_tetranacci():
     d = derive_case(4, 2)
     assert d.case == "p|m" and d.ell == 2 and d.cross_checked
     # aligned form carries the explicit leftover terms 2 s_{n-6} + s_{n-5}
-    others = [t for t in d.identity.rhs.terms if not isinstance(t, ex.ConvAtom)]
+    others = [t for t in d.rhs.terms if not isinstance(t, ex.ConvAtom)]
     assert others == [ex.term("hexanacci", -5), ex.scale(2, ex.term("hexanacci", -6))]
-    assert ex.evaluate(d.identity.lhs, 8) == 8
-    conv_part = [t for t in d.identity.rhs.terms if isinstance(t, ex.ConvAtom)][0]
+    assert ex.evaluate(d.lhs, 8) == 8
+    conv_part = [t for t in d.rhs.terms if isinstance(t, ex.ConvAtom)][0]
     assert ex.evaluate(conv_part, 8) == 4
 
 
@@ -130,17 +130,44 @@ def test_derive_case_proves_its_aligned_identity(monkeypatch):
     derive_div_case = solver._derive_div_case
 
     def lose_an_other_term(*args, **kwargs):
-        ident, closed = derive_div_case(*args, **kwargs)
-        return ident._replace(rhs=ex.add(*ident.rhs.terms[:-1])), closed
+        lhs, rhs, closed = derive_div_case(*args, **kwargs)
+        return lhs, ex.add(*rhs.terms[:-1]), closed
 
     monkeypatch.setattr(solver, "_derive_div_case", lose_an_other_term)
     with pytest.raises(AssertionError, match="GF proof"):
         derive_case(4, 2)
 
 
+def test_derive_case_rejects_a_perturbed_other_term(monkeypatch):
+    # Double the coefficient of one other-term, 2 s_{n-6} -> 4 s_{n-6}.
+    derive_div_case = solver._derive_div_case
+
+    def perturb_an_other_term(*args, **kwargs):
+        lhs, rhs, closed = derive_div_case(*args, **kwargs)
+        *rest, last = rhs.terms
+        assert last == ex.scale(2, ex.term("hexanacci", -6))
+        return lhs, ex.add(*rest, ex.scale(4, ex.term("hexanacci", -6))), closed
+
+    monkeypatch.setattr(solver, "_derive_div_case", perturb_an_other_term)
+    with pytest.raises(AssertionError, match="GF proof: case_m4_p2"):
+        derive_case(4, 2)
+
+
+def test_derive_case_rejects_a_side_that_does_not_compile(monkeypatch):
+    derive_quadruple_case = solver._derive_quadruple_case
+
+    def hadamard_lhs(*args, **kwargs):
+        _, rhs, closed = derive_quadruple_case(*args, **kwargs)
+        return ex.mul(ex.term("F"), ex.term("octanacci")), rhs, closed
+
+    monkeypatch.setattr(solver, "_derive_quadruple_case", hadamard_lhs)
+    with pytest.raises(AssertionError, match="GF proof: case_m2_p6"):
+        derive_case(2, 6)
+
+
 def test_derive_case_reproduces_shifted_fq_kernel():
     d = derive_case(2, 2)
-    assert d.identity.rhs == ex.conv(ex.term("Q"), ex.term("F", 2), offset=-3)
+    assert d.rhs == ex.conv(ex.term("Q"), ex.term("F", 2), offset=-3)
     cf = solve_conv_multi([resolve("F"), resolve("Q")])
     assert equivalent(cf, d.closed_expr, 0)
     assert equivalent(cf, reference_fq(), 0)

@@ -15,7 +15,7 @@ from mstep.identity_catalog import (
     kernel_check,
     load_manifest,
     negative_as_documented,
-    verify,
+    verdict,
     verify_numeric,
     verify_symbolic,
 )
@@ -166,12 +166,12 @@ def test_symbolic_and_numeric_cohere(by_id):
 
 
 def test_all_seq_entries_compile_or_fall_back(catalog):
-    # verify(symbolic=True) must never crash; it either proves the GF form
+    # verdict(symbolic=True) must never crash; it either proves the GF form
     # or falls back to the numeric check.
     for ident in catalog:
         if ident.kind == "seq" and not ident.negative:
-            rep = verify(ident, 60, symbolic=True)
-            assert rep.passed, ident.id
+            ok, rep = verdict(ident, 60, symbolic=True)
+            assert ok and rep.passed, ident.id
 
 
 def test_symbolic_fallback_for_noncompilable():
@@ -180,7 +180,7 @@ def test_symbolic_fallback_for_noncompilable():
     hadamard = ex.mul(ex.term("F"), ex.term("T"))
     ident = Identity("adhoc_hadamard", "seq", hadamard, hadamard, 0)
     assert verify_symbolic(ident) is None
-    assert verify(ident, 30, symbolic=True).mode == "numeric"
+    assert verdict(ident, 30, symbolic=True)[1].mode == "numeric"
 
 
 def test_gf_entries_sample(by_id):
