@@ -6,7 +6,7 @@ Subpackage map:
 * :mod:`mstep.series_algebra`      exact Poly/RatFun arithmetic, Bezout, series
 * :mod:`mstep.convolution_oracle`  brute-force convolution ground truth
 * :mod:`mstep.expressions`         expression trees, evaluation, GF compilation
-* :mod:`mstep.identity_catalog`    identities, their verifiers, JSON catalog IO
+* :mod:`mstep.identity_catalog`    identities, their verifiers, the manifest format
 * :mod:`mstep.manifest_build`      the identity catalog, built in process
 * :mod:`mstep.closed_form_solver`  partial-fraction closed forms, case algorithm
 * :mod:`mstep.pattern_search`      search for window-sum identities

@@ -31,12 +31,11 @@ from . import series_algebra as sa
 # (F,T,Q,P,F6,...,F13) and `--n 1000` 1.4 s, `solve --factors F,T,Q,P
 # --oracle-n 500` 0.2 s, `table --max 14 --oracle-n 500` 1.7 s, `verify
 # --all --max-n 2000` 0.8 s (31 MB), `search` at the four search caps under
-# 0.1 s for each of m = 2, 6, 12, 16, 100, 500.  (The m-step order cap is
-# sequences.MAX_MSTEP_ORDER.)
-#
-# `solve`'s summed order of the factors is exactly the product GF's
-# denominator degree, so it is capped by expressions.MAX_DEN_DEGREE, whose
-# comment times the slowest shape found at the cap.
+# 0.1 s for each of m = 2, 6, 12, 16, 100, 500.  The m-step order cap is
+# sequences.MAX_MSTEP_ORDER, and `solve`'s summed order of the factors, the
+# product GF's denominator degree, is capped by sequences.MAX_DEN_DEGREE,
+# whose comment times the slowest shape found at the cap.  The caps on a
+# --manifest live with its format in identity_catalog.
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1
 MAX_CONV_N = 1_000  # conv --n: the naive oracle costs O(n^2) products per factor
@@ -228,7 +227,7 @@ def _cmd_solve(args) -> int:
     _at_most(args.oracle_n, MAX_ORACLE_N, "--oracle-n")
     factors = _factors(args)
     order = sum(sequences.resolve(f).order for f in factors)
-    _at_most(order, ex.MAX_DEN_DEGREE, "summed order of the factors")
+    _at_most(order, sequences.MAX_DEN_DEGREE, "summed order of the factors")
     cf = solver.solve_conv_multi(factors)
     oracle_ok = cf.check_oracle(args.oracle_n)
     if args.format == "json":

@@ -310,8 +310,7 @@ def equivalent(cf: ClosedForm, expr, n0: int = 0) -> bool:
 
 # case is "p|m", "p|m+1" or "p=2m+2"; lhs = rhs is the aligned-sum identity with
 # explicit other-terms in rhs; closed_expr is a shift combination equal to the convolution.
-CaseDerivation = namedtuple("CaseDerivation", "m p case ell lhs rhs closed_expr cross_checked",
-                            defaults=(False,))
+CaseDerivation = namedtuple("CaseDerivation", "m p case ell lhs rhs closed_expr")
 
 
 def stacking_case(m: int, p: int) -> tuple | None:
@@ -353,10 +352,9 @@ def derive_case(m: int, p: int) -> CaseDerivation:
     if not proved:
         raise AssertionError(f"derived identity fails its GF proof: case_m{m}_p{p}")
     product = gf_of(make_mstep(m)) * gf_of(make_mstep(m + p))
-    checked = agrees_from(product, ex.gf_of_expr(closed), 0)
-    if not checked:
+    if not agrees_from(product, ex.gf_of_expr(closed), 0):
         raise AssertionError(f"derivation disagrees with the convolution for (m={m}, p={p})")
-    return CaseDerivation(m, p, case, ell, lhs, rhs, closed, checked)
+    return CaseDerivation(m, p, case, ell, lhs, rhs, closed)
 
 
 def _derive_div_case(m, p, lo, hi, ell, doubled):
@@ -435,8 +433,9 @@ def table(max_sum: int = 9, oracle_n: int = 100) -> list:
     """Solve and verify every convolution cell with 2 <= m, 1 <= p, m+p <= max_sum.
 
     Each cell reports the applicable case label (or "general-solver"), the
-    solver's closed form, GF-equality and oracle verification status, and,
-    when a case derivation applies, whether it cross-checked.  Raises
+    solver's closed form, GF-equality and oracle verification status, and
+    ``case_equivalent``: True when a case derivation applies (``derive_case``
+    raises unless it is proved), else None.  Raises
     ValueError when the grid is empty (max_sum < 3): nothing would be checked.
     """
     if max_sum < 3:
@@ -449,7 +448,8 @@ def table(max_sum: int = 9, oracle_n: int = 100) -> list:
             label = cell_label(m, p)
             case_equivalent = None
             if label != "general-solver":
-                case_equivalent = derive_case(m, p).cross_checked
+                derive_case(m, p)  # raises unless the derivation is proved
+                case_equivalent = True
             cells.append({
                 "m": m,
                 "p": p,

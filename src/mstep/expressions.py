@@ -25,8 +25,9 @@ Evaluation is exact.  ``evaluate_range`` is the one evaluator: it
 tabulates a whole prefix of values column by column and turns ConvAtoms
 into memoised convolution tables (columns are not memoised);
 ``evaluate(expr, n)`` is a view of it with a memo of the root column.
-A table multiplies in each further kernel through the denominator D of
-the kernel's generating function (D = 1 when ``gf_of_expr`` raises
+A Sum or Product column folds in one child's column at a time.  A table
+multiplies in each further kernel through the denominator D of the
+kernel's generating function (D = 1 when ``gf_of_expr`` raises
 NotCompilable for it), or through (1-x)*D when that has fewer nonzero
 coefficients: with E = D*kernel, which has finite support when D is
 right, the table is (table*E)/D, so it costs linear, not quadratic, time
@@ -52,12 +53,16 @@ empties all four.  Only ``_CONV_CACHE`` is bounded, and only inside
 ``identity_catalog.verdicts``: that loop plans every table with
 :func:`plan_tables`, so ``_conv_table`` builds each kernel tuple once, at
 its longest use, and the loop drops the table after its last user.
+
+This module knows only trees.  Their JSON form, the number rule and the
+caps on a manifest's trees live in :mod:`mstep.identity_catalog`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+import operator
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -225,12 +230,15 @@ def evaluate_range(expr: SeqExpr, length: int) -> list:
         return [1 << k if k >= 0 else Fraction(1, 1 << -k) for k in ks]
     if isinstance(expr, Const):
         return [expr.value] * length
-    if isinstance(expr, Sum):
-        cols = [evaluate_range(t, length) for t in expr.terms]
-        return [v if type(v) is int else _coeff(v) for v in map(sum, zip(*cols))]
-    if isinstance(expr, Product):
-        cols = [evaluate_range(f, length) for f in expr.factors]
-        return [v if type(v) is int else _coeff(v) for v in map(math.prod, zip(*cols))]
+    if isinstance(expr, (Sum, Product)):
+        # fold one child at a time, so a wide node holds two columns, not all
+        is_sum = isinstance(expr, Sum)
+        op = operator.add if is_sum else operator.mul
+        first, *rest = expr.terms if is_sum else expr.factors
+        acc = evaluate_range(first, length)
+        for child in rest:
+            acc = list(map(op, acc, evaluate_range(child, length)))
+        return [v if type(v) is int else _coeff(v) for v in acc]
     if isinstance(expr, Scale):
         f, col = expr.factor, evaluate_range(expr.child, length)
         if type(f) is int:
@@ -392,171 +400,3 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
         elif isinstance(f, NPoly):
             p = p * Poly(f.coeffs)
     return g if p == P_ONE else _apply_npoly(p, g)
-
-
-# -- JSON serialization ---------------------------------------------------------------
-
-
-def expr_to_json(expr: SeqExpr):
-    if isinstance(expr, Term):
-        if not isinstance(expr.seq, str):
-            raise TypeError(f"only a named sequence has a JSON form: {expr.seq!r}")
-        return ["term", expr.seq, expr.shift]
-    if isinstance(expr, NPoly):
-        return ["npoly", [str(c) for c in expr.coeffs]]
-    if isinstance(expr, Alt):
-        return ["alt", expr.offset]
-    if isinstance(expr, Geo2):
-        return ["geo2", expr.offset]
-    if isinstance(expr, Const):
-        return ["const", str(expr.value)]
-    if isinstance(expr, Sum):
-        return ["sum"] + [expr_to_json(t) for t in expr.terms]
-    if isinstance(expr, Product):
-        return ["product"] + [expr_to_json(f) for f in expr.factors]
-    if isinstance(expr, Scale):
-        return ["scale", str(expr.factor), expr_to_json(expr.child)]
-    if isinstance(expr, ConvAtom):
-        return ["conv", [expr_to_json(k) for k in expr.kernels], expr.offset]
-    raise TypeError(f"not a SeqExpr: {expr!r}")
-
-
-# Largest |shift| or |offset| expr_from_json accepts (the built-in catalog
-# uses at most 13).  A column of seq_{n+s} for n < N reads N + s terms of up
-# to about 0.7(N + s) bits, so memory grows like (N + s)^2.  At the cap, a
-# manifest of term, geo2, alt and conv entries takes 0.18 s and 19.8 MB
-# under `verify --all --max-n 2000` (18.2 MB at shift 0), 2-vCPU VM.
-MAX_SHIFT = 1_000
-
-# Largest summed npoly degree (len(coeffs) - 1 over every npoly node) of one
-# --manifest side, the catalog's own (pell_FFF_npoly: 1 + 1 + 2 + 2).  Each
-# degree raises a GF denominator's power by one, through nested products and
-# conv kernels alike.  At the cap, npoly times F57 (just under MAX_DEN_DEGREE)
-# takes 0.1 s under a cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM.
-MAX_NPOLY_DEGREE = 6
-
-# Largest GF denominator degree, with two users.  It caps the ``den_degree``
-# of one --manifest side (identity_catalog; the catalog's largest is 25,
-# reduce_odd_l2_m3), and the summed order of `solve --factors` (cli), which
-# is the product GF's denominator degree.  It is below MAX_MSTEP_ORDER
-# because the PRS gcd of dense coprime operands grows steeply.  Slowest
-# shapes found at the cap, cold, 2-vCPU VM (README, caps): the manifest side
-# conv(F211 + F2, F3 + ... + F19) takes 2.6 s under `verify --all --max-n
-# 2000 --symbolic` (0.4 s without; 7.4 s at 480), and `solve --factors
-# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F351` 3.2 s (3.5 s and 84 MB with
-# `--oracle-n 500`).
-MAX_DEN_DEGREE = 400
-
-# Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
-# Evaluation and compilation recurse per level: a `sum` chain 500 deep
-# exhausts Python's recursion limit, 64 stays far below it.
-MAX_DEPTH = 64
-
-
-def _shift(value) -> int:
-    """A term shift or an alt/geo2/conv offset read from JSON, checked."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"shift or offset is not an int: {value!r}")
-    if abs(value) > MAX_SHIFT:
-        raise ValueError(f"shift or offset {value} exceeds the cap {MAX_SHIFT}")
-    return value
-
-
-def npoly_degree(expr: SeqExpr) -> int:
-    """The summed len(coeffs) - 1 over the NPoly nodes of a tree."""
-    if isinstance(expr, NPoly):
-        return max(len(expr.coeffs) - 1, 0)
-    return sum(npoly_degree(c) for c in expr if isinstance(c, tuple))  # nodes are tuples
-
-
-def den_degree(expr: SeqExpr) -> int:
-    """An upper bound on the degree of ``gf_of_expr(expr).den``."""
-    return sum(degree * m for (_, degree, _), m in _den_factors(expr).items())
-
-
-_ONES_FACTOR = ("1-x", 1, 1)  # a denominator factor: (label, degree, 1 for x or -1 for -x)
-
-
-def _den_factors(expr: SeqExpr) -> Counter:
-    """Factor -> multiplicity in a multiple of ``gf_of_expr(expr).den``.
-    Factors with distinct labels count as coprime, so a sum or a product
-    takes each factor's largest multiplicity over its children, a conv adds
-    its kernels' (and one 1 - x for a lone kernel), Alt maps x to -x and the
-    NPoly factors of a product add their degree to every factor."""
-    if isinstance(expr, Term):
-        spec = resolve(expr.seq)
-        return Counter({(spec.name, spec.order, 1): 1})
-    if isinstance(expr, Geo2):
-        return Counter({("1-2x", 1, 1): 1})
-    if isinstance(expr, Scale):
-        return _den_factors(expr.child)
-    out = Counter()
-    if isinstance(expr, ConvAtom):
-        for kern in expr.kernels:
-            out += _den_factors(kern)
-        return out + Counter({_ONES_FACTOR: 1}) if len(expr.kernels) == 1 else out
-    if isinstance(expr, Sum):
-        for t in expr.terms:
-            out |= _den_factors(t)
-        return out
-    factors = expr.factors if isinstance(expr, Product) else (expr,)
-    for f in factors:
-        if not isinstance(f, _SCALARS):
-            out |= _den_factors(f)
-    sign = (-1) ** sum(isinstance(f, Alt) for f in factors)
-    rise = sum(npoly_degree(f) for f in factors if isinstance(f, NPoly))
-    return Counter({(label, degree, s * sign): m + rise
-                    for (label, degree, s), m in (out or {_ONES_FACTOR: 1}).items()})
-
-
-def number_from_json(value):
-    """A manifest number (a JSON int or float, or a string such as "3/4")
-    as an int or a Fraction.  Exponent form such as "1e5000" is refused:
-    ``Fraction`` expands it in full, past Python's limit on int/str
-    conversion, so one short string could build an integer of any size.
-    A JSON true or false is refused too, not read as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"number is a JSON boolean: {value!r}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"number in exponent form: {value!r}")
-    return _coeff(value)
-
-
-def node_tag(node, arity: dict, kind: str) -> str:
-    """The tag of a JSON tree node, once ``arity`` (tag -> (fewest, most)
-    operands, None for no limit) admits the tag and its operand count."""
-    if not isinstance(node, list) or not node or node[0] not in arity:
-        raise ValueError(f"not a {kind} tree: {node!r}")
-    low, high = arity[node[0]]
-    if not low <= len(node) - 1 <= (high or len(node)):
-        raise ValueError(f"{kind} node {node[0]!r} with {len(node) - 1} operands")
-    return node[0]
-
-
-_SEQ_ARITY = {"term": (2, 2), "npoly": (1, 1), "alt": (1, 1), "geo2": (1, 1), "const": (1, 1),
-              "scale": (2, 2), "conv": (2, 2), "sum": (1, None), "product": (1, None)}
-
-
-def expr_from_json(node, depth: int = 1) -> SeqExpr:
-    if depth > MAX_DEPTH:
-        raise ValueError(f"expression tree deeper than the cap {MAX_DEPTH}")
-    tag = node_tag(node, _SEQ_ARITY, "seq")
-    if tag == "term":
-        resolve(node[1])  # an unknown name fails at load, not at evaluation
-        return Term(node[1], _shift(node[2]))
-    if tag == "npoly":
-        if not isinstance(node[1], list):
-            raise ValueError(f"npoly operand is not a coefficient list: {node[1]!r}")
-        return NPoly(tuple(number_from_json(c) for c in node[1]))
-    if tag == "alt":
-        return Alt(_shift(node[1]))
-    if tag == "geo2":
-        return Geo2(_shift(node[1]))
-    if tag == "const":
-        return Const(number_from_json(node[1]))
-    if tag in ("sum", "product"):
-        parts = tuple(expr_from_json(t, depth + 1) for t in node[1:])
-        return Sum(parts) if tag == "sum" else Product(parts)
-    if tag == "scale":
-        return Scale(number_from_json(node[1]), expr_from_json(node[2], depth + 1))
-    return conv(*(expr_from_json(k, depth + 1) for k in node[1]), offset=_shift(node[2]))

@@ -1,4 +1,5 @@
-"""Machine-checkable catalog of convolution identities.
+"""Machine-checkable catalog of convolution identities, and the manifest
+format that carries it.
 
 An :class:`Identity` pairs two expression trees with the index n0 from
 which the equality is claimed.  Entries come in two kinds:
@@ -13,18 +14,26 @@ which the equality is claimed.  Entries come in two kinds:
 Entries carrying a ``negative`` block are documented misprints: the
 verifier confirms that they fail exactly as recorded.
 
+This module owns the manifest format, for writing and reading alike: the
+document ``{"version": 1, "identities": [...]}`` (:func:`manifest_document`),
+its entries (:func:`identity_to_json`), seq trees (:func:`expr_to_json`, one
+JSON list per ``expressions`` node), gf trees (:func:`compile_gf`), the
+number rule (:func:`number_from_json`: a string such as "3/4", a JSON int,
+or a JSON decimal read exactly; never exponent form) and the caps
+MAX_SHIFT, MAX_DEPTH, MAX_NPOLY_DEGREE and ``sequences.MAX_DEN_DEGREE``.
 :func:`load_manifest` returns the catalog that :mod:`mstep.manifest_build`
-builds in process, or reads one from a JSON file in the format it exports.
+builds in process, or checks a JSON file whole and reads it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+import math
+from collections import Counter, namedtuple
 
-from . import expressions as ex
-from .sequences import resolve
-from .series_algebra import Poly, RatFun, agrees_from, gf_of
+from . import expressions as ex  # read by attribute, so the lazy module runs late: a lower peak
+from .sequences import MAX_DEN_DEGREE, resolve
+from .series_algebra import Poly, RatFun, _coeff, agrees_from, gf_of
 
 
 class Identity(namedtuple("Identity", "id kind lhs rhs n0 params paper_quote negative")):
@@ -182,13 +191,7 @@ def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:
         raise ValueError(f"{identity.id} is not a negative entry")
     rep = verify_numeric(identity, n_max)
     doc = identity.negative["first_fail"]
-    ok = (
-        not rep.passed
-        and rep.first_failure is not None
-        and rep.first_failure["n"] == doc["n"]
-        and rep.first_failure["lhs"] == doc["lhs"]
-        and rep.first_failure["rhs"] == doc["rhs"]
-    )
+    ok = not rep.passed and all(rep.first_failure[k] == doc[k] for k in ("n", "lhs", "rhs"))
     return ok, rep
 
 
@@ -209,15 +212,9 @@ def compile_gf(tree) -> RatFun:
     if tag == "poly":
         return RatFun(Poly(tree[1]))
     if tag == "add":
-        acc = compile_gf(tree[1])
-        for sub in tree[2:]:
-            acc = acc + compile_gf(sub)
-        return acc
+        return sum(map(compile_gf, tree[2:]), compile_gf(tree[1]))
     if tag == "mul":
-        acc = compile_gf(tree[1])
-        for sub in tree[2:]:
-            acc = acc * compile_gf(sub)
-        return acc
+        return math.prod(map(compile_gf, tree[2:]), start=compile_gf(tree[1]))
     if tag == "sub":
         return compile_gf(tree[1]) - compile_gf(tree[2])
     if tag == "div":
@@ -232,23 +229,177 @@ def compile_gf(tree) -> RatFun:
     raise ValueError(f"unknown gf tree tag: {tag!r}")
 
 
-# -- manifest IO ---------------------------------------------------------------------
+# -- the manifest format ---------------------------------------------------------------
 
 
-def identity_to_json(ident: Identity) -> dict:
-    entry = {
-        "id": ident.id,
-        "kind": ident.kind,
-        "lhs": _gf_to_json(ident.lhs) if ident.kind == "gf" else ex.expr_to_json(ident.lhs),
-        "rhs": _gf_to_json(ident.rhs) if ident.kind == "gf" else ex.expr_to_json(ident.rhs),
-        "n0": ident.n0,
-        "paper_quote": ident.paper_quote,
-    }
-    if ident.params:
-        entry["params"] = ident.params
-    if ident.negative:
-        entry["negative"] = ident.negative
-    return entry
+# Largest |shift| or |offset| expr_from_json accepts (the built-in catalog
+# uses at most 13).  A column of seq_{n+s} for n < N reads N + s terms of up
+# to about 0.7(N + s) bits, so memory grows like (N + s)^2.  At the cap, a
+# manifest of term, geo2, alt and conv entries takes 0.18 s and 19.8 MB
+# under `verify --all --max-n 2000` (18.2 MB at shift 0), 2-vCPU VM.
+MAX_SHIFT = 1_000
+
+# Largest summed npoly degree (len(coeffs) - 1 over every npoly node) of one
+# --manifest side, the catalog's own (pell_FFF_npoly: 1 + 1 + 2 + 2).  Each
+# degree raises a GF denominator's power by one, through nested products and
+# conv kernels alike.  At the cap, npoly times F57 (just under MAX_DEN_DEGREE)
+# takes 0.1 s under a cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM.
+MAX_NPOLY_DEGREE = 6
+
+# Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
+# Evaluation and compilation recurse per level: a `sum` chain 500 deep
+# exhausts Python's recursion limit, 64 stays far below it.
+MAX_DEPTH = 64
+
+
+def npoly_degree(expr: ex.SeqExpr) -> int:
+    """The summed len(coeffs) - 1 over the NPoly nodes of a tree."""
+    if isinstance(expr, ex.NPoly):
+        return max(len(expr.coeffs) - 1, 0)
+    return sum(npoly_degree(c) for c in expr if isinstance(c, tuple))  # nodes are tuples
+
+
+def den_degree(expr: ex.SeqExpr) -> int:
+    """An upper bound on the degree of ``gf_of_expr(expr).den``."""
+    return sum(degree * m for (_, degree, _), m in _den_factors(expr).items())
+
+
+_ONES_FACTOR = ("1-x", 1, 1)  # a denominator factor: (label, degree, 1 for x or -1 for -x)
+
+
+def _den_factors(expr: ex.SeqExpr) -> Counter:
+    """Factor -> multiplicity in a multiple of ``gf_of_expr(expr).den``.
+    Factors with distinct labels count as coprime, so a sum or a product
+    takes each factor's largest multiplicity over its children, a conv adds
+    its kernels' (and one 1 - x for a lone kernel), Alt maps x to -x and the
+    NPoly factors of a product add their degree to every factor."""
+    if isinstance(expr, ex.Term):
+        spec = resolve(expr.seq)
+        return Counter({(spec.name, spec.order, 1): 1})
+    if isinstance(expr, ex.Geo2):
+        return Counter({("1-2x", 1, 1): 1})
+    if isinstance(expr, ex.Scale):
+        return _den_factors(expr.child)
+    out = Counter()
+    if isinstance(expr, ex.ConvAtom):
+        for kern in expr.kernels:
+            out += _den_factors(kern)
+        return out + Counter({_ONES_FACTOR: 1}) if len(expr.kernels) == 1 else out
+    if isinstance(expr, ex.Sum):
+        for t in expr.terms:
+            out |= _den_factors(t)
+        return out
+    factors = expr.factors if isinstance(expr, ex.Product) else (expr,)
+    for f in factors:
+        if not isinstance(f, ex._SCALARS):
+            out |= _den_factors(f)
+    sign = (-1) ** sum(isinstance(f, ex.Alt) for f in factors)
+    rise = sum(npoly_degree(f) for f in factors if isinstance(f, ex.NPoly))
+    return Counter({(label, degree, s * sign): m + rise
+                    for (label, degree, s), m in (out or {_ONES_FACTOR: 1}).items()})
+
+
+class _Decimal(float):
+    """A JSON number with a fraction or an exponent part: the float json
+    would read, so a field that wants an int or a str refuses it, with its
+    ``text`` kept for :func:`number_from_json`."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+
+def number_from_json(value):
+    """A manifest number (a JSON int or decimal, or a string such as "3/4")
+    as an int or a Fraction.  A decimal is read from its text, so 0.1 is
+    exactly 1/10.  Exponent form such as 1E3 or "1e5000" is refused:
+    ``Fraction`` expands it in full, past Python's limit on int/str
+    conversion, so one short string could build an integer of any size.
+    A JSON true or false is refused too, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"number is a JSON boolean: {value!r}")
+    if isinstance(value, _Decimal):
+        value = value.text
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"number in exponent form: {value!r}")
+    return _coeff(value)
+
+
+def _json_int(value, what: str, cap: int | None = None) -> int:
+    """A JSON int, not a bool or a decimal: |value| <= cap with a cap, else
+    value >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool) or (cap is None and value < 0):
+        raise ValueError(f"{what} is not an int{' >= 0' if cap is None else ''}: {value!r}")
+    if cap is not None and abs(value) > cap:
+        raise ValueError(f"{what} {value} exceeds the cap {cap}")
+    return value
+
+
+def node_tag(node, depth: int, arity: dict, kind: str) -> str:
+    """The tag of a JSON tree node at ``depth`` (a root is 1), once the
+    depth is within MAX_DEPTH and ``arity`` (tag -> (fewest, most)
+    operands, None for no limit) admits the tag and its operand count."""
+    if depth > MAX_DEPTH:
+        tree = "expression" if kind == "seq" else kind
+        raise ValueError(f"{tree} tree deeper than the cap {MAX_DEPTH}")
+    if not isinstance(node, list) or not node or node[0] not in arity:
+        raise ValueError(f"not a {kind} tree: {node!r}")
+    low, high = arity[node[0]]
+    if not low <= len(node) - 1 <= (high or len(node)):
+        raise ValueError(f"{kind} node {node[0]!r} with {len(node) - 1} operands")
+    return node[0]
+
+
+def expr_to_json(expr: ex.SeqExpr):
+    if isinstance(expr, ex.Term):
+        if not isinstance(expr.seq, str):
+            raise TypeError(f"only a named sequence has a JSON form: {expr.seq!r}")
+        return ["term", expr.seq, expr.shift]
+    if isinstance(expr, ex.NPoly):
+        return ["npoly", [str(c) for c in expr.coeffs]]
+    if isinstance(expr, ex.Alt):
+        return ["alt", expr.offset]
+    if isinstance(expr, ex.Geo2):
+        return ["geo2", expr.offset]
+    if isinstance(expr, ex.Const):
+        return ["const", str(expr.value)]
+    if isinstance(expr, ex.Sum):
+        return ["sum"] + [expr_to_json(t) for t in expr.terms]
+    if isinstance(expr, ex.Product):
+        return ["product"] + [expr_to_json(f) for f in expr.factors]
+    if isinstance(expr, ex.Scale):
+        return ["scale", str(expr.factor), expr_to_json(expr.child)]
+    if isinstance(expr, ex.ConvAtom):
+        return ["conv", [expr_to_json(k) for k in expr.kernels], expr.offset]
+    raise TypeError(f"not a SeqExpr: {expr!r}")
+
+
+_SEQ_ARITY = {"term": (2, 2), "npoly": (1, 1), "alt": (1, 1), "geo2": (1, 1), "const": (1, 1),
+              "scale": (2, 2), "conv": (2, 2), "sum": (1, None), "product": (1, None)}
+
+
+def expr_from_json(node, depth: int = 1) -> ex.SeqExpr:
+    tag = node_tag(node, depth, _SEQ_ARITY, "seq")
+    if tag == "term":
+        resolve(node[1])  # an unknown name fails at load, not at evaluation
+        return ex.Term(node[1], _json_int(node[2], "shift or offset", MAX_SHIFT))
+    if tag == "npoly":
+        if not isinstance(node[1], list):
+            raise ValueError(f"npoly operand is not a coefficient list: {node[1]!r}")
+        return ex.NPoly(tuple(number_from_json(c) for c in node[1]))
+    if tag in ("alt", "geo2"):
+        offset = _json_int(node[1], "shift or offset", MAX_SHIFT)
+        return ex.Alt(offset) if tag == "alt" else ex.Geo2(offset)
+    if tag == "const":
+        return ex.Const(number_from_json(node[1]))
+    if tag in ("sum", "product"):
+        parts = tuple(expr_from_json(t, depth + 1) for t in node[1:])
+        return ex.Sum(parts) if tag == "sum" else ex.Product(parts)
+    if tag == "scale":
+        return ex.Scale(number_from_json(node[1]), expr_from_json(node[2], depth + 1))
+    kernels = (expr_from_json(k, depth + 1) for k in node[1])
+    return ex.conv(*kernels, offset=_json_int(node[2], "shift or offset", MAX_SHIFT))
 
 
 _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None),
@@ -266,22 +417,32 @@ def _gf_from_json(tree, depth: int = 1) -> list:
     """The gf tree of a JSON one, with its ``poly`` coefficients parsed;
     raises unless every node has the operand count its tag needs, every
     ``seqgf`` names a known sequence, every ``poly`` holds a list of
-    numbers and the tree is at most ``expressions.MAX_DEPTH`` deep."""
-    if depth > ex.MAX_DEPTH:
-        raise ValueError(f"gf tree deeper than the cap {ex.MAX_DEPTH}")
-    tag = ex.node_tag(tree, _GF_ARITY, "gf")
+    numbers and the tree is at most MAX_DEPTH deep."""
+    tag = node_tag(tree, depth, _GF_ARITY, "gf")
     if tag == "seqgf":
         resolve(tree[1])
         return tree
     if tag == "poly":
         if not isinstance(tree[1], list):
             raise ValueError(f"poly operand is not a coefficient list: {tree[1]!r}")
-        return ["poly", [ex.number_from_json(c) for c in tree[1]]]
+        return ["poly", [number_from_json(c) for c in tree[1]]]
     return [tag, *(_gf_from_json(sub, depth + 1) for sub in tree[1:])]
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def identity_to_json(ident: Identity) -> dict:
+    entry = {
+        "id": ident.id,
+        "kind": ident.kind,
+        "lhs": _gf_to_json(ident.lhs) if ident.kind == "gf" else expr_to_json(ident.lhs),
+        "rhs": _gf_to_json(ident.rhs) if ident.kind == "gf" else expr_to_json(ident.rhs),
+        "n0": ident.n0,
+        "paper_quote": ident.paper_quote,
+    }
+    if ident.params:
+        entry["params"] = ident.params
+    if ident.negative:
+        entry["negative"] = ident.negative
+    return entry
 
 
 def identity_from_json(entry: dict) -> Identity:
@@ -289,36 +450,31 @@ def identity_from_json(entry: dict) -> Identity:
     if kind == "gf":
         lhs, rhs = _gf_from_json(entry["lhs"]), _gf_from_json(entry["rhs"])
     elif kind == "seq":
-        lhs, rhs = ex.expr_from_json(entry["lhs"]), ex.expr_from_json(entry["rhs"])
-        for what, measure, cap in (("npoly degree", ex.npoly_degree, ex.MAX_NPOLY_DEGREE),
-                                   ("GF denominator degree bound", ex.den_degree, ex.MAX_DEN_DEGREE)):
+        lhs, rhs = expr_from_json(entry["lhs"]), expr_from_json(entry["rhs"])
+        for what, measure, cap in (("npoly degree", npoly_degree, MAX_NPOLY_DEGREE),
+                                   ("GF denominator degree bound", den_degree, MAX_DEN_DEGREE)):
             degree = max(measure(lhs), measure(rhs))
             if degree > cap:
                 raise ValueError(f"{what} {degree} of a side exceeds the cap {cap}")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    id_, n0, negative = entry["id"], entry.get("n0", 0), entry.get("negative")
+    id_, negative = entry["id"], entry.get("negative")
     if not isinstance(id_, str):
         raise ValueError(f"id is not a string: {id_!r}")
-    if not _is_index(n0):
-        raise ValueError(f"n0 is not an int >= 0: {n0!r}")
+    n0 = _json_int(entry.get("n0", 0), "n0")
     if kind == "gf" and (n0 != 0 or negative is not None):
         raise ValueError("a gf entry equates power series, so it has n0 = 0 and no negative block")
     if negative is not None:
         fail = negative["first_fail"]
-        if not (_is_index(fail["n"]) and isinstance(fail["lhs"], str)
-                and isinstance(fail["rhs"], str)):
+        if not (isinstance(fail["lhs"], str) and isinstance(fail["rhs"], str)):
             raise ValueError(f"first_fail needs an int n >= 0 and str lhs, rhs: {fail!r}")
-    return Identity(
-        id=id_,
-        kind=kind,
-        lhs=lhs,
-        rhs=rhs,
-        n0=n0,
-        params=entry.get("params", {}),
-        paper_quote=entry.get("paper_quote", ""),
-        negative=negative,
-    )
+        _json_int(fail["n"], "first_fail n")
+    return Identity(id_, kind, lhs, rhs, n0, entry.get("params", {}),
+                    entry.get("paper_quote", ""), negative)
+
+
+def manifest_document(idents) -> dict:
+    return {"version": 1, "identities": [identity_to_json(i) for i in idents]}
 
 
 def load_manifest(path=None) -> list:
@@ -327,12 +483,9 @@ def load_manifest(path=None) -> list:
 
     A file is validated whole before anything is verified: a malformed
     document or entry raises ValueError naming the entry, as do numbers
-    such as "1/0", 1e400 or "1e5000" (``expressions.number_from_json``),
-    a gf entry with n0 != 0 or a ``negative`` block, trees above
-    ``expressions.MAX_DEPTH`` or too deep to parse, and a seq side whose
-    npoly degrees sum above ``expressions.MAX_NPOLY_DEGREE`` or whose GF
-    denominator may exceed degree ``expressions.MAX_DEN_DEGREE``.  Either
-    way, a repeated id raises ValueError.
+    such as "1/0", 1E3 or "1e5000", a gf entry with n0 != 0 or a
+    ``negative`` block, a tree too deep to parse and a side above a cap.
+    Either way, a repeated id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one
@@ -341,7 +494,7 @@ def load_manifest(path=None) -> list:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_float=_Decimal)
             except RecursionError as exc:
                 raise ValueError("manifest JSON is nested too deeply to parse") from exc
         entries = doc.get("identities") if isinstance(doc, dict) else None

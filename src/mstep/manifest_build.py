@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from .expressions import add, alt, conv, const, geo2, mul, npoly, scale, sub, term
-from .identity_catalog import Identity, identity_to_json
+from .identity_catalog import Identity, manifest_document
 from .sequences import mstep_name as ms
 
 J = "jacobsthal"
@@ -583,10 +583,6 @@ def build_identities() -> list:
     _case_study_entries(out)
     _gf_entries(out)
     return out
-
-
-def manifest_document(idents) -> dict:
-    return {"version": 1, "identities": [identity_to_json(i) for i in idents]}
 
 
 def main() -> None:

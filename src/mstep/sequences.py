@@ -35,6 +35,18 @@ _MSTEP_NAMES = {
 # `seq --name F500 --to 10000` runs in 2.6 to 4.4 s cold on a 2-vCPU host.
 MAX_MSTEP_ORDER = 500
 
+# Largest GF denominator degree, with two users.  It caps the ``den_degree``
+# of one --manifest side (identity_catalog; the catalog's largest is 25,
+# reduce_odd_l2_m3), and the summed order of `solve --factors` (cli), which
+# is the product GF's denominator degree.  It is below MAX_MSTEP_ORDER
+# because the PRS gcd of dense coprime operands grows steeply.  Slowest
+# shapes found at the cap, cold, 2-vCPU VM (README, caps): the manifest side
+# conv(F211 + F2, F3 + ... + F19) takes 2.6 s under `verify --all --max-n
+# 2000 --symbolic` (0.4 s without; 7.4 s at 480), and `solve --factors
+# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F351` 3.2 s (3.5 s and 23 MB with
+# `--oracle-n 500`).
+MAX_DEN_DEGREE = 400
+
 _ALIASES = {
     "J": "jacobsthal",
     "O": "octanacci",

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from mstep.cli import main
-from mstep.expressions import MAX_DEN_DEGREE, MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
+from mstep.identity_catalog import MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
+from mstep.sequences import MAX_DEN_DEGREE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 REF_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 # The command that recorded each perfbench/ref/<name>.txt (perfbench/README.md).
 REF_COMMANDS = {
@@ -190,11 +193,23 @@ def test_inputs_above_the_caps_exit_2(capsys, argv):
 
 
 def test_solve_at_the_summed_order_cap(capsys):
-    """Summed order 400, the product GF's degree at expressions.MAX_DEN_DEGREE
+    """Summed order 400, the product GF's degree at sequences.MAX_DEN_DEGREE
     (the slowest shape at the cap is timed beside that constant)."""
     code, out = run(capsys, "solve", "--factors", "F199,F201", "--oracle-n", "0")
     doc = json.loads(out)
     assert code == 0 and doc["verified"]["gf_equal"] is True
+
+
+def test_readme_caps_table_names_each_cap_where_it_lives():
+    """Each row's `module.CONSTANT` resolves and equals the row's cap."""
+    text = README.read_text()
+    table = text[text.index("| input | cap | constant |"):].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]
+    assert len(rows) >= 16
+    for row in rows:
+        cap, constant = (cell.strip(" `") for cell in row.strip("|").rsplit("|", 2)[1:])
+        module, name = constant.split(".")
+        assert getattr(importlib.import_module(f"mstep.{module}"), name) == int(cap), row
 
 
 @pytest.mark.parametrize("argv", [
@@ -476,16 +491,17 @@ def _one_entry(entry) -> str:
     return json.dumps({"identities": [entry]})
 
 
-# "@" stands for the number under test: "1/0" (a zero denominator), a JSON
-# 1e400 (infinity after parsing), "1e5000" (exponent form, refused) or a
-# JSON true (a boolean, not the number 1).
+# "@" stands for the number under test: "1/0" (a zero denominator), a
+# number in exponent form, refused in every spelling (a JSON 1e400, 1E3 or
+# 2.5e-1, or the string "1e5000"), or a JSON true (a boolean, not the
+# number 1).
 @pytest.mark.parametrize("kind, lhs", [
     pytest.param("seq", ["const", "@"], id="const"),
     pytest.param("seq", ["scale", "@", ["term", "F", 0]], id="scale"),
     pytest.param("seq", ["npoly", ["1", "@"]], id="npoly"),
     pytest.param("gf", ["poly", ["0", "@"]], id="gf-poly"),
 ])
-@pytest.mark.parametrize("number", ['"1/0"', "1e400", '"1e5000"', "true"])
+@pytest.mark.parametrize("number", ['"1/0"', "1e400", '"1e5000"', "true", "1E3", "2.5e-1"])
 def test_manifest_number_that_does_not_convert_is_a_json_error(tmp_path, capsys, kind,
                                                                lhs, number):
     rhs = ["seqgf", "F"] if kind == "gf" else ["term", "F", 0]
@@ -493,6 +509,23 @@ def test_manifest_number_that_does_not_convert_is_a_json_error(tmp_path, capsys,
     text = text.replace('"@"', number)
     for detail in _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, "bad_number"):
         assert "bad_number" in detail
+
+
+def test_manifest_decimal_is_read_exactly(tmp_path, capsys):
+    """A JSON 0.1 is 1/10, not the binary float nearest it."""
+    path = tmp_path / "tenth.json"
+    path.write_text(
+        '{"identities": ['
+        '{"id": "tenth_seq", "kind": "seq", "lhs": ["scale", 0.1, ["term", "F", 0]],'
+        ' "rhs": ["scale", "1/10", ["term", "F", 0]]},'
+        '{"id": "tenth_gf", "kind": "gf", "lhs": ["mul", ["poly", [0.1, -0.25]], ["seqgf", "F"]],'
+        ' "rhs": ["mul", ["poly", ["1/10", "-1/4"]], ["seqgf", "F"]]}]}')
+    for flags in ((), ("--symbolic",)):
+        code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+        assert code == 0 and "identities: all pass" in out, out
+    for ident in ("tenth_seq", "tenth_gf"):
+        code, out = run(capsys, "gfcheck", "--id", ident, "--manifest", str(path))
+        assert code == 0 and "verdict: equal" in out, out
 
 
 def _chain(tag: str, leaf: list, depth: int) -> str:
@@ -546,10 +579,10 @@ def test_manifest_repeated_id_is_a_json_error(tmp_path, capsys):
 
 def test_exported_catalog_reads_back_byte_identical(tmp_path, capsys, monkeypatch):
     from mstep import identity_catalog
-    from mstep.manifest_build import build_identities, manifest_document
+    from mstep.manifest_build import build_identities
 
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(manifest_document(build_identities()), indent=1))
+    path.write_text(json.dumps(identity_catalog.manifest_document(build_identities()), indent=1))
     for flags in ([], ["--symbolic"], ["--format", "json"], ["--format", "json", "--symbolic"]):
         built = run(capsys, "verify", "--all", "--max-n", "200", *flags)
         assert built[0] == 0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
-from mstep.identity_catalog import Identity, verdict
+from mstep.identity_catalog import Identity, expr_from_json, expr_to_json, verdict
 from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
@@ -81,6 +82,27 @@ def test_fractions_that_become_integral_come_back_as_ints():
         values = ex.evaluate_range(e, 20)
         assert all(type(v) is int or v.denominator != 1 for v in values)
         assert any(type(v) is int and v for v in values)
+
+
+def _traced_peak(expr, length: int) -> int:
+    tracemalloc.start()
+    try:
+        ex.evaluate_range(expr, length)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_wide_sum_holds_two_columns_not_all_of_them():
+    # Adding the children's columns one at a time keeps a 100-term sum near
+    # the peak of one scaled column (about 3x); holding them all is ~100x.
+    ex.clear_caches()
+    length = 2000
+    ex.evaluate_range(ex.term("F", 99), length)  # extend F's terms outside the measure
+    one = _traced_peak(ex.scale(3, ex.term("F")), length)
+    wide = _traced_peak(ex.add(*[ex.scale(k + 2, ex.term("F", k)) for k in range(100)]), length)
+    ex.clear_caches()
+    assert wide <= 5 * one, (wide, one)
 
 
 def test_evaluate_rejects_negative_index():
@@ -191,15 +213,15 @@ def test_json_roundtrip():
         ex.add(ex.geo2(2), ex.const(Fraction(3, 7))),
     ]
     for e in exprs:
-        assert ex.expr_from_json(ex.expr_to_json(e)) == e
+        assert expr_from_json(expr_to_json(e)) == e
 
 
 def test_json_refuses_a_term_whose_sequence_is_not_a_name():
     # A spec would serialize as a list that expr_from_json cannot read back.
     with pytest.raises(TypeError):
-        json.dumps(ex.expr_to_json(ex.term(sequences.resolve("F"), 1)))
+        json.dumps(expr_to_json(ex.term(sequences.resolve("F"), 1)))
     with pytest.raises(TypeError):
-        json.dumps(ex.expr_to_json(ex.add(ex.term("F"), ex.term(sequences.resolve("T")))))
+        json.dumps(expr_to_json(ex.add(ex.term("F"), ex.term(sequences.resolve("T")))))
 
 
 def test_nodes_equal_only_nodes_of_their_kind():

@@ -14,12 +14,13 @@ from mstep.identity_catalog import (
     identity_to_json,
     kernel_check,
     load_manifest,
+    manifest_document,
     negative_as_documented,
     verdict,
     verify_numeric,
     verify_symbolic,
 )
-from mstep.manifest_build import build_identities, manifest_document
+from mstep.manifest_build import build_identities
 from mstep.sequences import handle, registry
 
 
