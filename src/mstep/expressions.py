@@ -29,9 +29,10 @@ A Sum or Product column folds in one child's column at a time.  A table
 multiplies in each further kernel through the denominator D of the
 kernel's generating function (D = 1 when ``gf_of_expr`` raises
 NotCompilable for it), or through (1-x)*D when that has fewer nonzero
-coefficients: with E = D*kernel, which has finite support when D is
-right, the table is (table*E)/D, so it costs linear, not quadratic, time
-in its length.
+coefficients, the choice ``sequences.sparser`` also makes for term
+extension: with E = D*kernel, which has finite support when D is right,
+the table is (table*E)/D, so it costs linear, not quadratic, time in its
+length.
 Every number (node scalars and column values alike) is an int when it is
 integral and a Fraction only when it is not, the rule of
 ``series_algebra``.  Brute-force simplex enumeration lives only in
@@ -66,7 +67,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .sequences import _HANDLES, handle, resolve
+from .sequences import _HANDLES, handle, resolve, sparser
 from .series_algebra import (
     P_ONE,
     Poly,
@@ -294,16 +295,9 @@ def _conv_table(kernels: tuple, length: int) -> list:
                 den = gf_of_expr(kern).den
             except NotCompilable:
                 den = P_ONE
-            out = _convolve(out, evaluate_range(kern, length), _sparse_hint(den))
+            out = _convolve(out, evaluate_range(kern, length), Poly(sparser(den.coeffs)))
     _CONV_CACHE[key] = out
     return out
-
-
-def _sparse_hint(den: Poly) -> Poly:
-    """den or (1-x)*den, whichever has fewer nonzero coefficients: for
-    F^(m) the second is 1 - 2x + x^(m+1), three terms for any m."""
-    telescoped = den * _RF_ONES.den
-    return telescoped if sum(map(bool, telescoped.coeffs)) < sum(map(bool, den.coeffs)) else den
 
 
 def _convolve(a: list, b: list, den: Poly) -> list:

@@ -406,6 +406,17 @@ _GF_ARITY = {"seqgf": (1, 1), "poly": (1, 1), "add": (1, None), "mul": (1, None)
              "sub": (2, 2), "div": (2, 2), "neg": (1, 1), "subneg": (1, 1)}
 
 
+def gf_degree(tree) -> int:
+    """The summed degree of a gf tree's leaves, ``len - 1`` for a ``poly``
+    and the order for a ``seqgf``: it bounds both degrees of compile_gf's
+    result, as every node's result has degrees at most its operands' sum."""
+    if tree[0] == "poly":
+        return max(len(tree[1]) - 1, 0)
+    if tree[0] == "seqgf":
+        return resolve(tree[1]).order
+    return sum(map(gf_degree, tree[1:]))
+
+
 def _gf_to_json(tree) -> list:
     """A gf tree in its JSON form: ``poly`` coefficients as strings."""
     if tree[0] == "poly":
@@ -449,15 +460,17 @@ def identity_from_json(entry: dict) -> Identity:
     kind = entry["kind"]
     if kind == "gf":
         lhs, rhs = _gf_from_json(entry["lhs"]), _gf_from_json(entry["rhs"])
+        caps = (("GF degree bound", gf_degree, MAX_DEN_DEGREE),)
     elif kind == "seq":
         lhs, rhs = expr_from_json(entry["lhs"]), expr_from_json(entry["rhs"])
-        for what, measure, cap in (("npoly degree", npoly_degree, MAX_NPOLY_DEGREE),
-                                   ("GF denominator degree bound", den_degree, MAX_DEN_DEGREE)):
-            degree = max(measure(lhs), measure(rhs))
-            if degree > cap:
-                raise ValueError(f"{what} {degree} of a side exceeds the cap {cap}")
+        caps = (("npoly degree", npoly_degree, MAX_NPOLY_DEGREE),
+                ("GF denominator degree bound", den_degree, MAX_DEN_DEGREE))
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
+    for what, measure, cap in caps:
+        degree = max(measure(lhs), measure(rhs))
+        if degree > cap:
+            raise ValueError(f"{what} {degree} of a side exceeds the cap {cap}")
     id_, negative = entry["id"], entry.get("negative")
     if not isinstance(id_, str):
         raise ValueError(f"id is not a string: {id_!r}")

@@ -30,21 +30,26 @@ _MSTEP_NAMES = {
 }
 
 # Largest order make_mstep builds.  Its seeds 2^(k-2), k < m, take about
-# m^2/2 bits and every later term sums m earlier ones, so without a cap one
-# short name such as "F100000000" reaches unbounded memory.  At the cap,
-# `seq --name F500 --to 10000` runs in 2.6 to 4.4 s cold on a 2-vCPU host.
+# m^2/2 bits and its first recurrence term sums all m of them, so without a
+# cap one short name such as "F100000000" reaches unbounded memory.  Later
+# terms cost three operations each for any m (``sparser``).  At the cap,
+# `seq --name F500 --to 10000` runs in 0.6 s cold on a 2-vCPU host, of which
+# extending the terms takes 0.02 s and printing their digits 0.5 s.
 MAX_MSTEP_ORDER = 500
 
-# Largest GF denominator degree, with two users.  It caps the ``den_degree``
-# of one --manifest side (identity_catalog; the catalog's largest is 25,
-# reduce_odd_l2_m3), and the summed order of `solve --factors` (cli), which
+# Largest GF degree, with three users.  In identity_catalog it caps the
+# ``den_degree`` of one --manifest seq side (the catalog's largest is 25,
+# reduce_odd_l2_m3) and the ``gf_degree`` of one gf side (33,
+# gf_triple_m3_p3_q3); in cli, the summed order of `solve --factors`, which
 # is the product GF's denominator degree.  It is below MAX_MSTEP_ORDER
 # because the PRS gcd of dense coprime operands grows steeply.  Slowest
-# shapes found at the cap, cold, 2-vCPU VM (README, caps): the manifest side
+# shapes found at the cap, cold, 2-vCPU VM (README, caps): the seq side
 # conv(F211 + F2, F3 + ... + F19) takes 2.6 s under `verify --all --max-n
-# 2000 --symbolic` (0.4 s without; 7.4 s at 480), and `solve --factors
+# 2000 --symbolic` (0.4 s without; 7.4 s at 480), `solve --factors
 # F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F351` 3.2 s (3.5 s and 23 MB with
-# `--oracle-n 500`).
+# `--oracle-n 500`), and gf sides that each add k fractions 1/p, p dense of
+# degree 400/k with digits 1-9, 3.4 s at k = 1 and 230 s at k = 16, nearly
+# all of it the gcd in lhs - rhs.
 MAX_DEN_DEGREE = 400
 
 _ALIASES = {
@@ -88,7 +93,13 @@ class SequenceHandle:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self._cache = list(spec.seeds)
+        # a_n = sum(c * a_{n-k}) over the sparser form of D; the telescoped
+        # (1-x)*D holds only from the second recurrence term on, so the
+        # first is summed densely here
+        tail = sparser((1, *(-c for c in spec.coeffs)))
+        self._tail = [(k, -d) for k, d in enumerate(tail) if k and d]
+        first = sum(c * spec.seeds[-k] for k, c in enumerate(spec.coeffs, start=1))
+        self._cache = [*spec.seeds, first]
 
     def term(self, n: int) -> int:
         """Value at index ``n``; zero for all ``n < 0``."""
@@ -98,23 +109,25 @@ class SequenceHandle:
         return self._cache[n]
 
     def values(self, count: int) -> list:
-        """Terms 0 .. count-1 as a list (shared cache; do not mutate)."""
+        """Terms 0 .. count-1 as a new list."""
         self._extend(count)
         return self._cache[:count]
 
     def _extend(self, count: int) -> None:
-        cache = self._cache
-        coeffs = self.spec.coeffs
-        while len(cache) < count:
-            n = len(cache)
-            acc = 0
-            for j, c in enumerate(coeffs, start=1):
-                if c and n - j >= 0:
-                    acc += c * cache[n - j]
-            cache.append(acc)
+        cache, tail = self._cache, self._tail
+        for n in range(len(cache), count):
+            cache.append(sum(c * cache[n - k] for k, c in tail))
 
     def __repr__(self):
         return f"SequenceHandle({self.spec.name})"
+
+
+def sparser(den: tuple) -> tuple:
+    """den or (1-x)*den, whichever has fewer nonzero coefficients (den on a
+    tie), as a coefficient tuple: for F^(m), m >= 3, the second is
+    1 - 2x + x^(m+1), three terms for any m."""
+    telescoped = tuple(a - b for a, b in zip((*den, 0), (0, *den)))
+    return telescoped if sum(map(bool, telescoped)) < sum(map(bool, den)) else den
 
 
 def make_mstep(m: int) -> RecurrenceSpec:

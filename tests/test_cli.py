@@ -472,6 +472,33 @@ def test_manifest_denominator_degree_above_the_cap_is_a_json_error(tmp_path, cap
         assert code == 0 and f"PASS at_cap ({mode})" in out
 
 
+@pytest.mark.parametrize("above", [
+    ["mul", ["seqgf", f"F{MAX_DEN_DEGREE // 2}"], ["seqgf", f"F{MAX_DEN_DEGREE // 2 + 1}"]],
+    ["div", ["poly", ["1"]], ["poly", ["1"] * (MAX_DEN_DEGREE + 2)]],
+    ["add", ["seqgf", "F1"], ["subneg", ["neg", ["poly", ["1"] * (MAX_DEN_DEGREE + 1)]]]],
+], ids=["seqgf", "poly", "nested"])
+def test_manifest_gf_degree_above_the_cap_is_a_json_error(tmp_path, capsys, above):
+    """A gf side's summed leaf degree bounds its RatFun's degrees; one
+    above sequences.MAX_DEN_DEGREE is refused before anything compiles."""
+    entry = {"id": "wide_gf", "kind": "gf", "lhs": ["seqgf", "F"], "rhs": above}
+    for detail in _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, _one_entry(entry),
+                                                        "wide_gf"):
+        assert "wide_gf" in detail and f"GF degree bound {MAX_DEN_DEGREE + 1}" in detail
+        assert f"exceeds the cap {MAX_DEN_DEGREE}" in detail
+
+
+def test_manifest_gf_side_at_the_cap_verifies(tmp_path, capsys):
+    half = f"F{MAX_DEN_DEGREE // 2}"
+    side = ["add", ["mul", ["seqgf", half], ["seqgf", half]], ["poly", ["0"]]]
+    path = tmp_path / "cap.json"
+    path.write_text(_one_entry({"id": "at_cap", "kind": "gf", "lhs": side, "rhs": side[1]}))
+    for mode, flags in (("numeric", ()), ("symbolic", ("--symbolic",))):
+        code, out = run(capsys, "verify", "--all", "--manifest", str(path), *flags)
+        assert code == 0 and "PASS at_cap" in out
+    code, out = run(capsys, "gfcheck", "--id", "at_cap", "--manifest", str(path))
+    assert code == 0
+
+
 def _manifest_error_in_verify_and_gfcheck(tmp_path, capsys, text, ident):
     """Both commands that read a manifest exit 2 with the JSON ValueError;
     returns the three error details."""

@@ -4,17 +4,18 @@ compiled generating function, and every integral value is an int.  A sum's
 GF equals the one-at-a-time Henrici fold of its children's GFs.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
 so does every multi-kernel convolution table of the catalog.
-``den_degree`` bounds the degree of the compiled denominator.  The npoly
+``den_degree`` bounds the degree of the compiled denominator, and
+``gf_degree`` both degrees of a compiled gf tree.  The npoly
 rule equals the per-power rule it replaced, kept here as the reference."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
 from mstep.convolution_oracle import conv_multi_prefix
-from mstep.identity_catalog import den_degree, load_manifest
+from mstep.identity_catalog import compile_gf, den_degree, gf_degree, load_manifest
 from mstep.series_algebra import P_ONE, Poly, RatFun, series_coeffs, series_divide, shift_series
 
 LENGTH = 30
@@ -133,6 +134,28 @@ def test_mstep_tables_use_the_three_term_hint(monkeypatch):
 @given(trees)
 def test_den_degree_bounds_the_gf_denominator(e):
     assert ex.gf_of_expr(e).den.degree <= den_degree(e)
+
+
+gf_leaves = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=4).map(lambda cs: ["poly", cs]),
+    st.sampled_from(["F1", "F", "T", "Q", "pell", "pow2"]).map(lambda name: ["seqgf", name]),
+)
+gf_trees = st.recursive(gf_leaves, lambda children: st.one_of(
+    st.lists(children, min_size=1, max_size=3).flatmap(
+        lambda ts: st.sampled_from(["add", "mul"]).map(lambda tag: [tag, *ts])),
+    st.tuples(st.sampled_from(["sub", "div"]), children, children).map(list),
+    st.tuples(st.sampled_from(["neg", "subneg"]), children).map(list),
+), max_leaves=6)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gf_trees)
+def test_gf_degree_bounds_both_degrees_of_a_gf_tree(tree):
+    try:
+        g = compile_gf(tree)
+    except ValueError:  # a zero divisor
+        assume(False)
+    assert max(g.num.degree, g.den.degree) <= gf_degree(tree)
 
 
 def _conv_atoms(e, found):

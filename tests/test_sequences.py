@@ -1,6 +1,73 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mstep.sequences import RecurrenceSpec, handle, make_mstep, mstep_name, registry, resolve
+from mstep.sequences import (
+    RecurrenceSpec,
+    SequenceHandle,
+    handle,
+    make_mstep,
+    mstep_name,
+    registry,
+    resolve,
+    sparser,
+)
+
+
+def dense_values(spec: RecurrenceSpec, count: int) -> list:
+    """Reference extension: every term past the seeds sums all m earlier
+    terms, a_n = sum(c_j * a_{n-j}), over the defining coefficients."""
+    vals = list(spec.seeds)
+    for n in range(len(vals), count):
+        vals.append(sum(c * vals[n - j] for j, c in enumerate(spec.coeffs, start=1)))
+    return vals[:count]
+
+
+@st.composite
+def specs(draw):
+    """Orders 1-8, coefficients of either sign or zero, seed windows up to
+    three longer than the order and, on half the draws, a GF numerator of
+    full degree len(seeds) - 1: there the telescoped recurrence fails at the
+    first recurrence term, so only the dense one is right."""
+    order = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order)
+                  .filter(lambda cs: cs[-1] != 0))
+    seeds = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order + 3))
+    if draw(st.booleans()):
+        top = len(seeds) - 1  # numerator coefficient: a_top - sum(c_j a_(top-j))
+        below = sum(c * seeds[top - j] for j, c in enumerate(coeffs, start=1) if j <= top)
+        seeds[top] = below + draw(st.integers(-5, 5).filter(bool))
+    return RecurrenceSpec("r", order, tuple(coeffs), tuple(seeds))
+
+
+@settings(deadline=None, max_examples=300)
+@given(specs())
+def test_sparse_extension_matches_the_dense_recurrence(spec):
+    ref = dense_values(spec, 61)
+    h = SequenceHandle(spec)
+    assert [h.values(k) for k in range(61)] == [ref[:k] for k in range(61)]
+    assert SequenceHandle(spec).values(60) == ref[:60]
+
+
+def test_every_registered_spec_matches_the_dense_recurrence_to_700_terms():
+    for spec in (*registry().values(), resolve("F9"), resolve("F50"), resolve("F500")):
+        assert SequenceHandle(spec).values(700) == dense_values(spec, 700), spec.name
+
+
+def _den(spec: RecurrenceSpec) -> tuple:
+    return (1, *(-c for c in spec.coeffs))
+
+
+def test_sparser_keeps_d_on_a_tie_and_when_d_is_sparser():
+    for name in ("F", "F1", "pow2", "pell", "jacobsthal"):
+        den = _den(resolve(name))
+        assert sparser(den) == den, name
+    assert sparser((1,)) == (1,)
+
+
+def test_sparser_telescopes_tribonacci_through_f500_to_three_terms():
+    for m in range(3, 501):
+        assert sparser(_den(make_mstep(m))) == (1, -2, *[0] * (m - 1), 1), m
 
 
 def test_mstep3_prefix():
@@ -13,6 +80,12 @@ def test_mstep1_is_all_ones_from_1():
 
 def test_mstep2_is_fibonacci():
     assert handle(make_mstep(2)).values(7) == [0, 1, 1, 2, 3, 5, 8]
+
+
+def test_values_returns_a_copy_of_the_cache():
+    h = SequenceHandle(resolve("T"))
+    h.values(6).append(-1)
+    assert h.values(7) == [0, 1, 1, 2, 4, 7, 13]
 
 
 def test_mstep_rejects_zero_order():
