@@ -26,15 +26,15 @@ from . import pattern_search, sequences
 from . import series_algebra as sa
 
 # Caps on numeric input, so that one invocation stays within seconds and
-# bounded memory; a larger value exits 2.  Times at each cap, cold, 2-vCPU
-# VM, Python 3.11: `seq --name F --to 10000` 0.3 s, `conv` with 12 factors
-# (F,T,Q,P,F6,...,F13) and `--n 1000` 1.4 s, `solve --factors F,T,Q,P
-# --oracle-n 500` 0.2 s, `table --max 14 --oracle-n 500` 1.7 s, `verify
-# --all --max-n 2000` 0.8 s (31 MB), `search` at the four search caps under
-# 0.1 s for each of m = 2, 6, 12, 16, 100, 500.  The m-step order cap is
-# sequences.MAX_MSTEP_ORDER, and `solve`'s summed order of the factors, the
-# product GF's denominator degree, is capped by sequences.MAX_DEN_DEGREE,
-# whose comment times the slowest shape found at the cap.  The caps on a
+# bounded memory; a larger value exits 2.  Times at each cap, best of three
+# cold runs, 2-vCPU VM, Python 3.11: `seq --name F --to 10000` 0.5 s, `conv`
+# with 12 factors (F,T,Q,P,F6,...,F13) and `--n 1000` 1.9 s, `solve
+# --factors F,T,Q,P --oracle-n 500` 0.2 s, `table --max 14 --oracle-n 500`
+# 2.0 s, `verify --all --max-n 2000` 0.8 s (31 MB), `search` at the four
+# search caps under 0.2 s for each of m = 2, 6, 12, 16, 100, 500.  The
+# m-step order and `solve`'s summed order of the factors, the product GF's
+# denominator degree, share the one degree cap sequences.MAX_DEN_DEGREE,
+# whose comment times the slowest shapes found at it.  The caps on a
 # --manifest live with its format in identity_catalog.
 MAX_SEQ_INDEX = 10_000  # seq --to
 MAX_SEQ_TERMS = 10_001  # seq terms printed: --to - --from + 1

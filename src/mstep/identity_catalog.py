@@ -20,7 +20,8 @@ its entries (:func:`identity_to_json`), seq trees (:func:`expr_to_json`, one
 JSON list per ``expressions`` node), gf trees (:func:`compile_gf`), the
 number rule (:func:`number_from_json`: a string such as "3/4", a JSON int,
 or a JSON decimal read exactly; never exponent form) and the caps
-MAX_SHIFT, MAX_DEPTH, MAX_NPOLY_DEGREE and ``sequences.MAX_DEN_DEGREE``.
+MAX_SHIFT, MAX_DEPTH, MAX_NPOLY_DEGREE and the one degree budget
+``sequences.MAX_DEN_DEGREE``, on ``den_degree`` and ``gf_degree``.
 :func:`load_manifest` returns the catalog that :mod:`mstep.manifest_build`
 builds in process, or checks a JSON file whole and reads it.
 """
@@ -185,12 +186,14 @@ def verdicts(idents, n_max: int = 200, symbolic: bool = False) -> list:
 def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:
     """Check a documented-misprint entry: it must fail exactly as recorded.
 
-    Returns (ok, report).
-    """
+    Returns (ok, report); like one below n0, an n_max below the recorded n
+    raises ValueError."""
     if not identity.negative:
         raise ValueError(f"{identity.id} is not a negative entry")
-    rep = verify_numeric(identity, n_max)
     doc = identity.negative["first_fail"]
+    if identity.n0 <= n_max < doc["n"]:
+        raise ValueError(f"{identity.id}: n_max {n_max} is below first_fail n {doc['n']}")
+    rep = verify_numeric(identity, n_max)
     ok = not rep.passed and all(rep.first_failure[k] == doc[k] for k in ("n", "lhs", "rhs"))
     return ok, rep
 
@@ -242,8 +245,9 @@ MAX_SHIFT = 1_000
 # Largest summed npoly degree (len(coeffs) - 1 over every npoly node) of one
 # --manifest side, the catalog's own (pell_FFF_npoly: 1 + 1 + 2 + 2).  Each
 # degree raises a GF denominator's power by one, through nested products and
-# conv kernels alike.  At the cap, npoly times F57 (just under MAX_DEN_DEGREE)
-# takes 0.1 s under a cold `verify --all --max-n 2000 --symbolic`, 2-vCPU VM.
+# conv kernels alike.  A sum, it bounds the npoly work den_degree does not
+# (npoly of degree 499 times F1: 7.8 s uncapped); at the cap npoly times F71
+# takes under 0.2 s, cold `verify --all --max-n 2000 [--symbolic]`, 2-vCPU VM.
 MAX_NPOLY_DEGREE = 6
 
 # Deepest --manifest tree, a leaf being depth 1 (the catalog's deepest is 6).
@@ -481,7 +485,8 @@ def identity_from_json(entry: dict) -> Identity:
         fail = negative["first_fail"]
         if not (isinstance(fail["lhs"], str) and isinstance(fail["rhs"], str)):
             raise ValueError(f"first_fail needs an int n >= 0 and str lhs, rhs: {fail!r}")
-        _json_int(fail["n"], "first_fail n")
+        if _json_int(fail["n"], "first_fail n") < n0:
+            raise ValueError(f"first_fail n {fail['n']} is below n0 {n0}, so no check reaches it")
     return Identity(id_, kind, lhs, rhs, n0, entry.get("params", {}),
                     entry.get("paper_quote", ""), negative)
 

@@ -29,28 +29,18 @@ _MSTEP_NAMES = {
     8: "octanacci",
 }
 
-# Largest order make_mstep builds.  Its seeds 2^(k-2), k < m, take about
-# m^2/2 bits and its first recurrence term sums all m of them, so without a
-# cap one short name such as "F100000000" reaches unbounded memory.  Later
-# terms cost three operations each for any m (``sparser``).  At the cap,
-# `seq --name F500 --to 10000` runs in 0.6 s cold on a 2-vCPU host, of which
-# extending the terms takes 0.02 s and printing their digits 0.5 s.
-MAX_MSTEP_ORDER = 500
-
-# Largest GF degree, with three users.  In identity_catalog it caps the
-# ``den_degree`` of one --manifest seq side (the catalog's largest is 25,
-# reduce_odd_l2_m3) and the ``gf_degree`` of one gf side (33,
-# gf_triple_m3_p3_q3); in cli, the summed order of `solve --factors`, which
-# is the product GF's denominator degree.  It is below MAX_MSTEP_ORDER
-# because the PRS gcd of dense coprime operands grows steeply.  Slowest
-# shapes found at the cap, cold, 2-vCPU VM (README, caps): the seq side
-# conv(F211 + F2, F3 + ... + F19) takes 2.6 s under `verify --all --max-n
-# 2000 --symbolic` (0.4 s without; 7.4 s at 480), `solve --factors
-# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F351` 3.2 s (3.5 s and 23 MB with
-# `--oracle-n 500`), and gf sides that each add k fractions 1/p, p dense of
-# degree 400/k with digits 1-9, 3.4 s at k = 1 and 230 s at k = 16, nearly
-# all of it the gcd in lhs - rhs.
-MAX_DEN_DEGREE = 400
+# The one degree budget, on four GF denominator degrees: make_mstep's order
+# m, `solve`'s summed order of the factors (cli) and, in identity_catalog,
+# one --manifest side's den_degree (the catalog's largest is 25) or gf_degree
+# (33).  It bounds memory too: F^(m)'s seeds 2^(k-2), k < m, take about m^2/2
+# bits, so "F100000000" alone would exhaust it.  Gcds stay fast at this degree
+# as series_algebra certifies coprime operands modulo one prime.  Slowest
+# shapes at the cap, best of three cold runs, 2-vCPU VM (README, caps): `seq
+# --name F500 --to 10000` 0.7 s, the seq side conv(F311 + F2, F3 + ... + F19)
+# 0.4 s under `verify --all --max-n 2000 --symbolic`, `solve --factors
+# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F451` 4.2 s (4.7 s and 25 MB with
+# `--oracle-n 500`), gf sides adding 16 dense fractions 1/p 0.7 s.
+MAX_DEN_DEGREE = 500
 
 _ALIASES = {
     "J": "jacobsthal",
@@ -139,8 +129,8 @@ def make_mstep(m: int) -> RecurrenceSpec:
     """
     if m < 1:
         raise ValueError("m-step order must be a positive integer")
-    if m > MAX_MSTEP_ORDER:
-        raise ValueError(f"m-step order {m} exceeds the cap {MAX_MSTEP_ORDER}")
+    if m > MAX_DEN_DEGREE:
+        raise ValueError(f"m-step order {m} exceeds the cap {MAX_DEN_DEGREE}")
     if m == 1:
         return RecurrenceSpec("F1", 1, (1,), (0, 1))
     seeds = [0, 1] + [2 ** (k - 2) for k in range(2, m)]

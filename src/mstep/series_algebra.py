@@ -11,6 +11,10 @@ alternating-sum identities.
 Polynomial gcds and Bezout inverses are fraction-free: one primitive
 polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
 integer pseudo-remainders and divides out their content after every step.
+Its coefficients grow to thousands of bits on dense coprime operands, the
+common case, so ``poly_gcd`` first runs Euclid modulo p = 2^61 - 1 (Brown,
+J. ACM 18, 1971).  If p divides neither leading coefficient, deg gcd(a mod p,
+b mod p) >= deg gcd(a, b): a constant there proves gcd = 1, else PRS runs.
 
 Canonical form of a rational function N/D:
 
@@ -258,11 +262,33 @@ def _prs(a: Poly, b: Poly, w: int) -> Poly:
     return a
 
 
+_P = (1 << 61) - 1  # the coprimality certificate's prime: residues fit a word
+
+
+def _coprime_mod_p(a: tuple, b: tuple) -> bool:
+    """Whether Euclid over GF(_P) proves a and b coprime (module docstring)."""
+    p = _P
+    r, s = [c % p for c in a], [c % p for c in b]
+    if not (r[-1] and s[-1]):  # p divides a leading coefficient: no proof
+        return False
+    while len(s) > 1:
+        inv, ds = pow(s[-1], -1, p), len(s) - 1
+        for top in range(len(r) - 1, ds - 1, -1):
+            q = r.pop() * inv % p
+            if q:  # zip stops before s's leading term, which cancels the popped one
+                r[top - ds:top] = [(x - q * y) % p for x, y in zip(r[top - ds:top], s)]
+        while r and not r[-1]:
+            r.pop()
+        r, s = s, r
+    return len(s) == 1
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd by primitive PRS, normalized primitive with positive lowest coefficient.
 
     When either operand is a monomial c*x^k the gcd is x^min(k, val(other))
-    (x^k when the other is zero), the PRS's own answer, taken without it.
+    (x^k when the other is zero), the PRS's own answer, taken without it;
+    so is 1 when Euclid modulo _P proves the primitive parts coprime.
     """
     for p, q in ((a, b), (b, a)):
         cs = p.coeffs
@@ -272,6 +298,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = a.primitive(), b.primitive()
     if a.degree < b.degree:
         a, b = b, a
+    if b.degree > 0 and _coprime_mod_p(a.coeffs, b.coeffs):
+        return P_ONE
     return _prs(a, b, 0)
 
 

@@ -119,6 +119,19 @@ def test_verify_negative_entry_json(capsys):
     assert report["first_failure"]["n"] == 0
 
 
+def test_verify_a_misprint_short_of_its_recorded_failure_is_an_error(capsys):
+    """printed_partial_sum_m4 first fails at n = 1, outside 0..0: like a range
+    below n0, a range that cannot reach the recorded failure exits 2."""
+    for fmt in ("text", "json"):
+        code, out = run(capsys, "verify", "--id", "printed_partial_sum_m4", "--max-n", "0",
+                        "--format", fmt)
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "ValueError"
+        assert "below first_fail n 1" in doc["detail"]
+    code, out = run(capsys, "verify", "--id", "printed_partial_sum_m4", "--max-n", "1")
+    assert code == 0 and "documented misprint, fails as recorded" in out
+
+
 def test_solve_latex_form(capsys):
     code, out = run(capsys, "solve", "--factors", "F,Q", "--format", "latex")
     assert code == 0
@@ -182,20 +195,20 @@ def test_solve_exits_1_when_the_oracle_check_fails(capsys, monkeypatch):
     ["search", "--m", "2", "--max-k", "1000000000"],
     ["search", "--m", "2", "--max-span", "1000000000"],
     ["search", "--m", "2", "--l-window", "1000000000"],
-    ["solve", "--factors", "F200,F201", "--oracle-n", "0"],  # summed order 401
+    ["solve", "--factors", "F250,F251", "--oracle-n", "0"],  # summed order 501
 ])
 def test_inputs_above_the_caps_exit_2(capsys, argv):
     code, out = run(capsys, *argv)
     doc = json.loads(out)
     assert code == 2 and doc["error"] == "ValueError" and "exceeds the cap" in doc["detail"]
-    if "F200,F201" in argv:
+    if "F250,F251" in argv:
         assert f"exceeds the cap {MAX_DEN_DEGREE}" in doc["detail"]
 
 
 def test_solve_at_the_summed_order_cap(capsys):
-    """Summed order 400, the product GF's degree at sequences.MAX_DEN_DEGREE
+    """Summed order 500, the product GF's degree at sequences.MAX_DEN_DEGREE
     (the slowest shape at the cap is timed beside that constant)."""
-    code, out = run(capsys, "solve", "--factors", "F199,F201", "--oracle-n", "0")
+    code, out = run(capsys, "solve", "--factors", "F249,F251", "--oracle-n", "0")
     doc = json.loads(out)
     assert code == 0 and doc["verified"]["gf_equal"] is True
 
@@ -205,7 +218,7 @@ def test_readme_caps_table_names_each_cap_where_it_lives():
     text = README.read_text()
     table = text[text.index("| input | cap | constant |"):].split("\n\n", 1)[0]
     rows = table.splitlines()[2:]
-    assert len(rows) >= 16
+    assert len(rows) >= 15
     for row in rows:
         cap, constant = (cell.strip(" `") for cell in row.strip("|").rsplit("|", 2)[1:])
         module, name = constant.split(".")
@@ -357,6 +370,8 @@ _FAIL = {"n": 5, "lhs": "5", "rhs": "6"}
                  id="first_fail-lhs-int"),
     pytest.param("seq", None, {"negative": {"first_fail": {**_FAIL, "rhs": None}}},
                  id="first_fail-rhs-null"),
+    pytest.param("seq", None, {"n0": 6, "negative": {"first_fail": _FAIL}},
+                 id="first_fail-below-n0"),
     pytest.param("gf", None, {"n0": 3}, id="gf-n0"),
 ])
 def test_manifest_malformed_leaf_is_a_json_error(tmp_path, capsys, kind, lhs, fields):

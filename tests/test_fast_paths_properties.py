@@ -1,15 +1,29 @@
 """Property tests for the exact fast paths against the loops they replace:
 the slice-wise convolution step against the per-coefficient loop, the
 monic-division shortcut of ``series_divide`` against the loop that divides
-every coefficient, and the monomial shortcut of ``poly_gcd`` against the
-full primitive PRS.  Results must be equal and of the same type: an int
-stays an int and a Fraction is never integral."""
+every coefficient, and the monomial shortcut and the coprimality
+certificate modulo p = 2^61 - 1 of ``poly_gcd`` against the full primitive
+PRS.  Results must be equal and of the same type: an int stays an int and a
+Fraction is never integral."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
-from mstep.series_algebra import P_ONE, Poly, _coeff, _div, _prem, poly_gcd, series_divide
+from mstep import series_algebra
+from mstep.series_algebra import (
+    _P,
+    P_ONE,
+    Poly,
+    _coeff,
+    _div,
+    _prem,
+    poly_gcd,
+    series_divide,
+)
 
 props = settings(deadline=None, max_examples=200)
 
@@ -124,3 +138,70 @@ def test_monomial_gcd_equals_the_full_prs(m, other, swap):
     assert got == prs_gcd(a, b)
     assert all(type(c) is int for c in got.coeffs)
 
+
+# integer coefficients, small or far above p, so reductions modulo p matter
+int_polys = st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
+                     min_size=2, max_size=7).map(Poly)
+
+
+@props
+@given(st.one_of(polys, int_polys), st.one_of(polys, int_polys),
+       st.one_of(st.just(P_ONE), int_polys))
+def test_gcd_equals_the_prs_with_and_without_shared_factors(a, b, common):
+    a, b = a * common, b * common
+    assert poly_gcd(a, b) == prs_gcd(a, b)
+
+
+def _refuse_prs(a, b, w):
+    raise AssertionError("the PRS ran")
+
+
+def _dense(rng, degree):
+    return Poly([rng.randint(1, 9) for _ in range(degree + 1)])
+
+
+def test_dense_coprime_gcd_is_certified_modulo_p(monkeypatch):
+    """Degree 400, digits 1-9: the certificate answers without the PRS."""
+    rng = random.Random(400)
+    a, b = _dense(rng, 400), _dense(rng, 399)
+    monkeypatch.setattr(series_algebra, "_prs", _refuse_prs)
+    assert poly_gcd(a, b) is P_ONE
+
+
+def _counting_prs(monkeypatch):
+    calls = []
+    prs = series_algebra._prs
+
+    def spy(a, b, w):
+        calls.append((a, b))
+        return prs(a, b, w)
+
+    monkeypatch.setattr(series_algebra, "_prs", spy)
+    return calls
+
+
+def test_dense_gcd_with_a_shared_factor_reaches_the_prs(monkeypatch):
+    rng = random.Random(60)
+    common = _dense(rng, 20)
+    a, b = _dense(rng, 40) * common, _dense(rng, 39) * common
+    calls = _counting_prs(monkeypatch)
+    assert poly_gcd(a, b) == common.primitive()
+    assert calls
+
+
+@pytest.mark.parametrize("a, b, want, prs", [
+    # lead(a) = p: modulo p, a and b drop to x + 1 and x + 2, coprime there,
+    # while over Z they share p*x + 1; the certificate must not run
+    (Poly((1, _P)) * Poly((1, 1)), Poly((1, _P)) * Poly((2, 1)), Poly((1, _P)), True),
+    (Poly((1, 0, _P)), Poly((3, 1)), P_ONE, True),
+    # coprime over Z, equal modulo p: the certificate cannot decide (x alone
+    # is a monomial, answered x^min(1, val(x + p)) = 1 before either runs)
+    (Poly((0, 1)), Poly((_P, 1)), P_ONE, False),
+    (Poly((1, 1)), Poly((1 + _P, 1)), P_ONE, True),
+    (Poly((1, 0, 1)), Poly((1 + _P, 0, 1)), P_ONE, True),
+], ids=["shared-factor-lead-p", "coprime-lead-p", "x-and-x-plus-p",
+        "x-plus-1-and-x-plus-1-plus-p", "quadratic-plus-p"])
+def test_unlucky_prime_operands_fall_back_to_the_prs(monkeypatch, a, b, want, prs):
+    calls = _counting_prs(monkeypatch)
+    assert poly_gcd(a, b) == want == prs_gcd(a, b)
+    assert bool(calls) == prs

@@ -102,6 +102,8 @@ def test_printed_partial_sum_fails_as_documented(by_id):
     assert ok and not rep.passed
     assert ex.evaluate(ident.lhs, 3) == 4
     assert ex.evaluate(ident.rhs, 3) == Fraction(8, 3)
+    with pytest.raises(ValueError, match="below first_fail n 1"):
+        negative_as_documented(ident, 0)
 
 
 def test_printed_tq_pow2_fails_as_documented(by_id):
