@@ -90,8 +90,7 @@ def verify_numeric(identity: Identity, n_max: int) -> VerifyReport:
     if identity.kind != "seq":
         raise ValueError(f"{identity.id} is not a sequence identity")
     if n_max < identity.n0:
-        raise ValueError(
-            f"{identity.id}: n_max {n_max} is below n0 {identity.n0}, nothing to check")
+        raise _nothing_to_check(identity, n_max)
     lhs = ex.evaluate_range(identity.lhs, n_max + 1)
     rhs = ex.evaluate_range(identity.rhs, n_max + 1)
     for n in range(identity.n0, n_max + 1):
@@ -99,6 +98,10 @@ def verify_numeric(identity: Identity, n_max: int) -> VerifyReport:
             failure = {"n": n, "lhs": str(lhs[n]), "rhs": str(rhs[n])}
             return VerifyReport(identity.id, "numeric", False, failure)
     return VerifyReport(identity.id, "numeric", True)
+
+
+def _nothing_to_check(identity: Identity, n_max: int) -> ValueError:
+    return ValueError(f"{identity.id}: n_max {n_max} is below n0 {identity.n0}, nothing to check")
 
 
 def identity_gfs(identity: Identity) -> tuple:
@@ -142,8 +145,11 @@ def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> tup
     (:func:`negative_as_documented`).  Any other entry is ok when its report
     passes: GF entries are always proved symbolically; for sequence entries,
     ``symbolic=True`` attempts the generating-function proof first and falls
-    back to the numeric check when a side is not compilable.
+    back to the numeric check when a side is not compilable.  An n_max
+    below 0 is an empty range for every entry: ValueError before any proof.
     """
+    if n_max < 0:
+        raise _nothing_to_check(identity, n_max)
     if identity.negative:
         return negative_as_documented(identity, n_max)
     rep = verify_symbolic(identity) if identity.kind == "gf" or symbolic else None
@@ -502,8 +508,8 @@ def load_manifest(path=None) -> list:
     A file is validated whole before anything is verified: a malformed
     document or entry raises ValueError naming the entry, as do numbers
     such as "1/0", 1E3 or "1e5000", a gf entry with n0 != 0 or a
-    ``negative`` block, a tree too deep to parse and a side above a cap.
-    Either way, a repeated id raises ValueError.
+    ``negative`` block, a tree too deep to parse, a side above a cap and an
+    empty ``identities`` list.  Either way, a repeated id raises ValueError.
     """
     if path is None:
         from .manifest_build import build_identities  # that module imports this one
@@ -518,6 +524,8 @@ def load_manifest(path=None) -> list:
         entries = doc.get("identities") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ValueError("manifest must be a JSON object with an 'identities' list")
+        if not entries:
+            raise ValueError("manifest has no identities, so nothing would be checked")
         idents = []
         for k, entry in enumerate(entries):
             try:
@@ -525,9 +533,8 @@ def load_manifest(path=None) -> list:
             except (ArithmeticError, IndexError, KeyError, TypeError, ValueError) as exc:
                 name = entry.get("id") if isinstance(entry, dict) else None
                 raise ValueError(f"manifest entry {k} ({name}) is malformed: {exc!r}") from exc
-    ids = [i.id for i in idents]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(id_ for id_, k in Counter(i.id for i in idents).items() if k > 1)
+    if dupes:
         raise ValueError(f"duplicate identity ids in manifest: {dupes}")
     return idents
 

@@ -34,12 +34,13 @@ _MSTEP_NAMES = {
 # one --manifest side's den_degree (the catalog's largest is 25) or gf_degree
 # (33).  It bounds memory too: F^(m)'s seeds 2^(k-2), k < m, take about m^2/2
 # bits, so "F100000000" alone would exhaust it.  Gcds stay fast at this degree
-# as series_algebra certifies coprime operands modulo one prime.  Slowest
+# as series_algebra proves each from its image modulo one prime.  Slowest
 # shapes at the cap, best of three cold runs, 2-vCPU VM (README, caps): `seq
 # --name F500 --to 10000` 0.7 s, the seq side conv(F311 + F2, F3 + ... + F19)
 # 0.4 s under `verify --all --max-n 2000 --symbolic`, `solve --factors
 # F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F451` 4.2 s (4.7 s and 25 MB with
-# `--oracle-n 500`), gf sides adding 16 dense fractions 1/p 0.7 s.
+# `--oracle-n 500`), gf sides adding 16 dense fractions 1/p 0.7 s, gf sides
+# 1/(p*c) against 1/(q*c) with a shared dense factor c 0.2 s.
 MAX_DEN_DEGREE = 500
 
 _ALIASES = {

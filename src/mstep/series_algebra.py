@@ -11,10 +11,14 @@ alternating-sum identities.
 Polynomial gcds and Bezout inverses are fraction-free: one primitive
 polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
 integer pseudo-remainders and divides out their content after every step.
-Its coefficients grow to thousands of bits on dense coprime operands, the
-common case, so ``poly_gcd`` first runs Euclid modulo p = 2^61 - 1 (Brown,
-J. ACM 18, 1971).  If p divides neither leading coefficient, deg gcd(a mod p,
-b mod p) >= deg gcd(a, b): a constant there proves gcd = 1, else PRS runs.
+Its coefficients grow to thousands of bits on dense operands, so
+``poly_gcd`` first proves an image modulo p = 2^61 - 1 (Brown, J. ACM 18,
+1971).  If p divides neither leading coefficient, g = gcd(a mod p, b mod p)
+has deg g >= deg gcd(a, b).  A constant g proves gcd = 1; otherwise g, scaled
+to lead gcd(lc a, lc b) and lifted to symmetric residues, has a primitive
+part h of degree deg g, and h dividing both a and b proves h = gcd(a, b).
+The PRS runs only when that proof fails: p divides a leading coefficient,
+the prime is unlucky, or the gcd's coefficients do not fit 2^60.
 
 Canonical form of a rational function N/D:
 
@@ -262,15 +266,16 @@ def _prs(a: Poly, b: Poly, w: int) -> Poly:
     return a
 
 
-_P = (1 << 61) - 1  # the coprimality certificate's prime: residues fit a word
+_P = (1 << 61) - 1  # poly_gcd's one prime: residues fit a word
 
 
-def _coprime_mod_p(a: tuple, b: tuple) -> bool:
-    """Whether Euclid over GF(_P) proves a and b coprime (module docstring)."""
+def _gcd_mod_p(a: tuple, b: tuple):
+    """Euclid over GF(_P): the last nonzero remainder of a and b, or None
+    when _P divides a leading coefficient (module docstring)."""
     p = _P
     r, s = [c % p for c in a], [c % p for c in b]
-    if not (r[-1] and s[-1]):  # p divides a leading coefficient: no proof
-        return False
+    if not (r[-1] and s[-1]):
+        return None
     while len(s) > 1:
         inv, ds = pow(s[-1], -1, p), len(s) - 1
         for top in range(len(r) - 1, ds - 1, -1):
@@ -280,15 +285,16 @@ def _coprime_mod_p(a: tuple, b: tuple) -> bool:
         while r and not r[-1]:
             r.pop()
         r, s = s, r
-    return len(s) == 1
+    return s or r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd by primitive PRS, normalized primitive with positive lowest coefficient.
+    """Gcd normalized primitive with positive lowest coefficient.
 
     When either operand is a monomial c*x^k the gcd is x^min(k, val(other))
-    (x^k when the other is zero), the PRS's own answer, taken without it;
-    so is 1 when Euclid modulo _P proves the primitive parts coprime.
+    (x^k when the other is zero).  Otherwise it is 1 when the primitive
+    parts' gcd modulo _P is constant, else that image lifted when it divides
+    both, else the primitive PRS's answer: one proof (module docstring).
     """
     for p, q in ((a, b), (b, a)):
         cs = p.coeffs
@@ -298,8 +304,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = a.primitive(), b.primitive()
     if a.degree < b.degree:
         a, b = b, a
-    if b.degree > 0 and _coprime_mod_p(a.coeffs, b.coeffs):
-        return P_ONE
+    g = _gcd_mod_p(a.coeffs, b.coeffs) if b else None
+    if g is not None:
+        if len(g) == 1:
+            return P_ONE
+        scale, half = math.gcd(a.coeffs[-1], b.coeffs[-1]) * pow(g[-1], -1, _P), _P // 2
+        h = Poly([(c * scale + half) % _P - half for c in g]).primitive()  # symmetric residues
+        if not (_prem(a, h) or _prem(b, h)):
+            return h
     return _prs(a, b, 0)
 
 

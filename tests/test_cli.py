@@ -90,6 +90,18 @@ def test_verify_below_n0_is_an_error_not_a_pass(capsys):
     assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("select", [["--id", "conv_FT"], ["--id", "gf_adjacent_m3"], ["--all"]],
+                         ids=["seq-id", "gf-id", "all"])
+@pytest.mark.parametrize("flags", [[], ["--symbolic"]], ids=["numeric", "symbolic"])
+def test_verify_negative_max_n_is_an_error_with_and_without_symbolic(capsys, select, flags):
+    """A negative --max-n is an empty range for every entry, so not even a
+    GF proof may pass under it."""
+    code, out = run(capsys, "verify", *select, "--max-n", "-7", *flags)
+    doc = json.loads(out)
+    assert code == 2 and doc["error"] == "ValueError"
+    assert "n_max -7 is below n0" in doc["detail"]
+
+
 def test_verify_missing_manifest_is_a_json_error(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.json")
     code, out = run(capsys, "verify", "--all", "--manifest", missing)
@@ -613,10 +625,21 @@ def test_manifest_top_level_list_is_a_json_error(tmp_path, capsys):
 
 
 def test_manifest_repeated_id_is_a_json_error(tmp_path, capsys):
-    entry = {"id": "twice", "kind": "seq", "lhs": ["term", "F", 0],
-             "rhs": ["term", "F", 0], "n0": 0}
-    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry, entry]})
-    assert code == 2 and doc["error"] == "ValueError" and "twice" in doc["detail"]
+    """Each repeated id is named once, in sorted order."""
+    def entry(id_):
+        return {"id": id_, "kind": "seq", "lhs": ["term", "F", 0], "rhs": ["term", "F", 0],
+                "n0": 0}
+
+    ids = ["zeta", "alpha", "zeta", "mid", "alpha", "zeta"]
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry(i) for i in ids]})
+    assert code == 2 and doc == {"error": "ValueError",
+                                 "detail": "duplicate identity ids in manifest: ['alpha', 'zeta']"}
+
+
+@pytest.mark.parametrize("flags", [[], ["--symbolic"], ["--format", "json"]])
+def test_empty_manifest_is_an_error_not_a_pass(tmp_path, capsys, flags):
+    code, doc = _verify_manifest(tmp_path, capsys, {"version": 1, "identities": []}, *flags)
+    assert code == 2 and doc["error"] == "ValueError" and "no identities" in doc["detail"]
 
 
 def test_exported_catalog_reads_back_byte_identical(tmp_path, capsys, monkeypatch):

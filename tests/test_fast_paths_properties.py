@@ -1,10 +1,10 @@
 """Property tests for the exact fast paths against the loops they replace:
 the slice-wise convolution step against the per-coefficient loop, the
 monic-division shortcut of ``series_divide`` against the loop that divides
-every coefficient, and the monomial shortcut and the coprimality
-certificate modulo p = 2^61 - 1 of ``poly_gcd`` against the full primitive
-PRS.  Results must be equal and of the same type: an int stays an int and a
-Fraction is never integral."""
+every coefficient, and the monomial shortcut and the image modulo
+p = 2^61 - 1 of ``poly_gcd``, proved by exact division, against the full
+primitive PRS.  Results must be equal and of the same type: an int stays an
+int and a Fraction is never integral."""
 
 import random
 
@@ -156,6 +156,36 @@ def _refuse_prs(a, b, w):
     raise AssertionError("the PRS ran")
 
 
+# nonzero, dense or not; a factor's coefficients lie in +-9, or far above p
+digits = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any).map(Poly)
+huge = st.builds(lambda m, neg: -m if neg else m, st.integers(2**61, 2**90), st.booleans())
+huge_polys = st.lists(st.one_of(huge, st.integers(-9, 9)), min_size=2, max_size=6) \
+    .filter(lambda cs: cs[-1]).map(Poly)
+
+
+@props
+@given(digits, digits, digits)
+def test_gcd_of_small_planted_factors_is_the_lifted_image(f, g, common):
+    """Coefficients in +-9: the gcd lifts from its image modulo p with room
+    to spare, and p is lucky for every example drawn, so the image answers
+    alone, with no PRS."""
+    a, b = f * common, g * common
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_algebra, "_prs", _refuse_prs)
+        got = poly_gcd(a, b)
+    assert got == prs_gcd(a, b)
+
+
+@props
+@given(digits, digits, huge_polys)
+def test_gcd_of_planted_factors_above_p_equals_the_prs(f, g, common):
+    """A planted factor with coefficients above 2^61 does not, as a rule,
+    lift from its image modulo p, so the PRS answers; the result must be
+    the PRS's either way."""
+    a, b = f * common, g * common
+    assert poly_gcd(a, b) == prs_gcd(a, b)
+
+
 def _dense(rng, degree):
     return Poly([rng.randint(1, 9) for _ in range(degree + 1)])
 
@@ -166,6 +196,16 @@ def test_dense_coprime_gcd_is_certified_modulo_p(monkeypatch):
     a, b = _dense(rng, 400), _dense(rng, 399)
     monkeypatch.setattr(series_algebra, "_prs", _refuse_prs)
     assert poly_gcd(a, b) is P_ONE
+
+
+def test_dense_gcd_with_a_shared_factor_is_the_lifted_image(monkeypatch):
+    """p*c against q*c, p and q dense of degree 495 and c of degree 5, digits
+    1-9: the lifted image divides both, so no PRS runs."""
+    rng = random.Random(495)
+    common = _dense(rng, 5)
+    a, b = _dense(rng, 495) * common, _dense(rng, 495) * common
+    monkeypatch.setattr(series_algebra, "_prs", _refuse_prs)
+    assert poly_gcd(a, b) == common.primitive()
 
 
 def _counting_prs(monkeypatch):
@@ -180,27 +220,22 @@ def _counting_prs(monkeypatch):
     return calls
 
 
-def test_dense_gcd_with_a_shared_factor_reaches_the_prs(monkeypatch):
-    rng = random.Random(60)
-    common = _dense(rng, 20)
-    a, b = _dense(rng, 40) * common, _dense(rng, 39) * common
-    calls = _counting_prs(monkeypatch)
-    assert poly_gcd(a, b) == common.primitive()
-    assert calls
-
-
 @pytest.mark.parametrize("a, b, want, prs", [
     # lead(a) = p: modulo p, a and b drop to x + 1 and x + 2, coprime there,
-    # while over Z they share p*x + 1; the certificate must not run
+    # while over Z they share p*x + 1; the image must not be used
     (Poly((1, _P)) * Poly((1, 1)), Poly((1, _P)) * Poly((2, 1)), Poly((1, _P)), True),
     (Poly((1, 0, _P)), Poly((3, 1)), P_ONE, True),
-    # coprime over Z, equal modulo p: the certificate cannot decide (x alone
-    # is a monomial, answered x^min(1, val(x + p)) = 1 before either runs)
+    # coprime over Z, equal modulo p: the image has degree 1 and fails exact
+    # division (x alone is a monomial, answered x^min(1, val(x + p)) = 1
+    # before either runs)
     (Poly((0, 1)), Poly((_P, 1)), P_ONE, False),
     (Poly((1, 1)), Poly((1 + _P, 1)), P_ONE, True),
     (Poly((1, 0, 1)), Poly((1 + _P, 0, 1)), P_ONE, True),
+    # gcd x + 1, but the image (x + 1)(x + 2) has too high a degree: it
+    # divides a, not b
+    (Poly((1, 1)) * Poly((2, 1)), Poly((1, 1)) * Poly((2 + _P, 1)), Poly((1, 1)), True),
 ], ids=["shared-factor-lead-p", "coprime-lead-p", "x-and-x-plus-p",
-        "x-plus-1-and-x-plus-1-plus-p", "quadratic-plus-p"])
+        "x-plus-1-and-x-plus-1-plus-p", "quadratic-plus-p", "image-degree-too-high"])
 def test_unlucky_prime_operands_fall_back_to_the_prs(monkeypatch, a, b, want, prs):
     calls = _counting_prs(monkeypatch)
     assert poly_gcd(a, b) == want == prs_gcd(a, b)
