@@ -111,8 +111,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    return to_stdout(lambda: _dispatch(argv))
+
+
+def to_stdout(run) -> int:
+    """The exit status of ``run()``, which writes to stdout, or 141 with no
+    traceback when stdout closes early."""
     try:
-        code = _dispatch(argv)
+        code = run()
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
         return code
     except BrokenPipeError:
@@ -153,6 +159,15 @@ def _factors(args) -> list:
     return factors
 
 
+def _entry(args):
+    """The entry of ``--manifest`` (the built-in catalog by default) whose
+    id is ``--id``; KeyError when there is none."""
+    index = catalog.catalog_index(catalog.load_manifest(args.manifest))
+    if args.id not in index:
+        raise KeyError(f"unknown identity id: {args.id}")
+    return index[args.id]
+
+
 def _cmd_seq(args) -> int:
     _at_most(args.stop, MAX_SEQ_INDEX, "--to")
     _at_least(args.stop, args.start, "--to")
@@ -188,12 +203,7 @@ def _cmd_conv(args) -> int:
 
 def _cmd_verify(args) -> int:
     _at_most(args.max_n, MAX_VERIFY_N, "--max-n")
-    idents = catalog.load_manifest(args.manifest)
-    if args.id is not None:
-        index = catalog.catalog_index(idents)
-        if args.id not in index:
-            raise KeyError(f"unknown identity id: {args.id}")
-        idents = [index[args.id]]
+    idents = [_entry(args)] if args.id is not None else catalog.load_manifest(args.manifest)
     reports = catalog.verdicts(idents, args.max_n, symbolic=args.symbolic)
     all_ok = all(ok for _, ok, _ in reports)
     if args.format == "json":
@@ -273,11 +283,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_gfcheck(args) -> int:
-    idents = catalog.load_manifest(args.manifest)
-    index = catalog.catalog_index(idents)
-    if args.id not in index:
-        raise KeyError(f"unknown identity id: {args.id}")
-    ident = index[args.id]
+    ident = _entry(args)
     left, right = catalog.identity_gfs(ident)
     print(f"lhs: {left}")
     print(f"rhs: {right}")

@@ -51,9 +51,10 @@ gcd, uses a lone child as it is and adds these groups by Henrici.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
 ``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs); :func:`clear_caches`
 empties all four.  Only ``_CONV_CACHE`` is bounded, and only inside
-``identity_catalog.verdicts``: that loop plans every table with
-:func:`plan_tables`, so ``_conv_table`` builds each kernel tuple once, at
-its longest use, and the loop drops the table after its last user.
+:func:`planned`, the one owner of a loop's table lifetimes
+(``identity_catalog.verdicts`` runs over it): it plans every table, so
+``_conv_table`` builds each kernel tuple once, at its longest use, drops
+the table after its last user and leaves no table on any exit.
 
 This module knows only trees.  Their JSON form, the number rule and the
 caps on a manifest's trees live in :mod:`mstep.identity_catalog`.
@@ -201,7 +202,7 @@ def evaluate(expr: SeqExpr, n: int):
 
 _RANGE_CACHE: dict = {}  # root columns of pointwise evaluate
 _CONV_CACHE: dict = {}  # convolution tables, shared across trees
-_CONV_PLAN: dict = {}  # kernel key -> table length to build, set only for a verdict loop
+_CONV_PLAN: dict = {}  # kernel key -> table length to build, set only inside ``planned``
 
 
 def clear_caches() -> None:
@@ -260,19 +261,46 @@ def _conv_key(kernels: tuple) -> tuple:
     return tuple(sorted(kernels, key=repr))
 
 
-def plan_tables(expr: SeqExpr, length: int, plan: dict) -> None:
-    """Record in ``plan`` (kernel key -> length) the longest table that
-    ``evaluate_range(expr, length)`` reads per kernel tuple, including the
-    tables its kernels read at the outer table's length."""
+def _table_reads(expr: SeqExpr, length: int):
+    """Yield (kernel key, table length) for each table that
+    ``evaluate_range(expr, length)`` reads, including the tables its
+    kernels read at the outer table's length."""
     if isinstance(expr, ConvAtom):
         length += expr.offset  # the table length, top + 1
         if length <= 0:
             return
-        key = _conv_key(expr.kernels)
-        plan[key] = max(plan.get(key, 0), length)
+        yield _conv_key(expr.kernels), length
     for child in expr:
         if isinstance(child, tuple):  # a node or a tuple of nodes
-            plan_tables(child, length, plan)
+            yield from _table_reads(child, length)
+
+
+def planned(groups, length: int):
+    """Yield the index of each group of trees (a tuple) in turn, while the
+    caller evaluates that group at ``length``.
+
+    Each kernel tuple is built once, at the longest length any group reads
+    (``_CONV_PLAN``), and leaves ``_CONV_CACHE`` when the caller asks for
+    the index after its last reader's.  Closing the generator, on a normal
+    or a raised exit, drops the plan and every planned table.
+    """
+    groups = list(groups)
+    drops = [[] for _ in groups]  # index -> the keys it reads last
+    try:
+        for k in reversed(range(len(groups))):  # so the first reader met is the last
+            for tree in groups[k]:
+                for key, n in _table_reads(tree, length):
+                    if key not in _CONV_PLAN:
+                        drops[k].append(key)
+                    _CONV_PLAN[key] = max(_CONV_PLAN.get(key, 0), n)
+        for k, keys in enumerate(drops):
+            yield k
+            for key in keys:
+                _CONV_CACHE.pop(key, None)  # unbuilt when a GF proof decided
+    finally:
+        for key in _CONV_PLAN:
+            _CONV_CACHE.pop(key, None)
+        _CONV_PLAN.clear()
 
 
 def _conv_table(kernels: tuple, length: int) -> list:

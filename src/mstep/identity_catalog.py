@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, namedtuple
+from contextlib import closing
 
 from . import expressions as ex  # read by attribute, so the lazy module runs late: a lower peak
 from .sequences import MAX_DEN_DEGREE, resolve
@@ -162,31 +163,14 @@ def verdicts(idents, n_max: int = 200, symbolic: bool = False) -> list:
     """(identity, ok, report) for each entry in id order, as :func:`verdict`
     decides it.
 
-    One walk of the seq sides first plans the convolution tables
-    (``expressions.plan_tables``): each kernel tuple is built once, at the
-    longest length any entry reads, and leaves ``expressions._CONV_CACHE``
-    after the last entry that reads it.
+    The seq sides' convolution tables live in ``expressions.planned``: each
+    kernel tuple is built once, at the longest length any entry reads, and
+    dropped after the last entry that reads it, or when an entry raises.
     """
     idents = sorted(idents, key=lambda i: i.id)
-    plan, drop_after = ex._CONV_PLAN, [[] for _ in idents]
-    for ident, drops in zip(reversed(idents), reversed(drop_after)):
-        reads = {}
-        if ident.kind == "seq":
-            ex.plan_tables(ident.lhs, n_max + 1, reads)
-            ex.plan_tables(ident.rhs, n_max + 1, reads)
-        for key, length in reads.items():
-            if key not in plan:  # walking backwards, the first reader met is the last
-                drops.append(key)
-            plan[key] = max(plan.get(key, 0), length)
-    out = []
-    try:
-        for ident, drops in zip(idents, drop_after):
-            out.append((ident, *verdict(ident, n_max, symbolic)))
-            for key in drops:
-                ex._CONV_CACHE.pop(key, None)
-    finally:
-        plan.clear()
-    return out
+    sides = [(i.lhs, i.rhs) if i.kind == "seq" else () for i in idents]
+    with closing(ex.planned(sides, n_max + 1)) as order:
+        return [(idents[k], *verdict(idents[k], n_max, symbolic)) for k in order]
 
 
 def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:

@@ -585,10 +585,18 @@ def build_identities() -> list:
     return out
 
 
-def main() -> None:
+def main() -> int:
+    """Export the catalog to stdout; 141 when stdout closes early."""
+    from .cli import to_stdout  # load_manifest builds the catalog without the front end
+
+    return to_stdout(_export)
+
+
+def _export() -> int:
     json.dump(manifest_document(build_identities()), sys.stdout, indent=1)
     sys.stdout.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -162,14 +162,15 @@ def registry() -> dict:
 
 
 def resolve(name) -> RecurrenceSpec:
-    """Look up a sequence by name, alias, or generic m-step name "F<m>"."""
+    """Look up a sequence by name, alias, or generic m-step name "F<m>",
+    m in ASCII digits."""
     if isinstance(name, RecurrenceSpec):
         return name
     if name in _REGISTRY:
         return _REGISTRY[name]
     if name in _ALIASES:
         return _REGISTRY[_ALIASES[name]]
-    if isinstance(name, str) and name.startswith("F") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("F") and name[1:].isdigit() and name.isascii():
         return make_mstep(int(name[1:]))
     raise KeyError(f"unknown sequence name: {name!r}")
 

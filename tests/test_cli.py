@@ -725,8 +725,7 @@ def test_python_m_runs_without_a_runpy_warning(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("unbuffered", ["1", None])
-def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+def _to_closed_stdout(unbuffered, *argv):
     # The read end is closed before the child starts, so its first write to
     # stdout (in print when unbuffered, else in the final flush) fails.
     env = dict(os.environ)
@@ -737,9 +736,39 @@ def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "mstep.cli", "seq", "--name", "F",
-                               "--to", "10"], stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, text=True)
+        return subprocess.run([sys.executable, "-m", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    proc = _to_closed_stdout(unbuffered, "mstep.cli", "seq", "--name", "F", "--to", "10")
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_manifest_export_to_a_closed_stdout_exits_141(unbuffered):
+    # as `python -m mstep.manifest_build | head -1` does once head exits
+    proc = _to_closed_stdout(unbuffered, "mstep.manifest_build")
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("command", ["verify", "gfcheck"])
+def test_unknown_id_is_a_json_error(capsys, command):
+    code, out = run(capsys, command, "--id", "no_such_entry")
+    assert code == 2 and json.loads(out) == {
+        "error": "KeyError", "detail": "unknown identity id: no_such_entry"}
+
+
+@pytest.mark.parametrize("name", ["F\u0663", "F\u00b2"])  # Arabic-Indic three, superscript two
+def test_f_name_with_non_ascii_digits_is_unknown(tmp_path, capsys, name):
+    code, out = run(capsys, "seq", "--name", name, "--to", "4")
+    assert code == 2 and json.loads(out) == {
+        "error": "KeyError", "detail": f"unknown sequence name: {name!r}"}
+    entry = {"id": "digits", "kind": "seq", "lhs": ["term", name, 0],
+             "rhs": ["term", "T", 0], "n0": 0}
+    code, doc = _verify_manifest(tmp_path, capsys, {"identities": [entry]})
+    assert code == 2 and doc["error"] == "ValueError"
+    assert f"(digits) is malformed: KeyError(\"unknown sequence name: {name!r}\")" in doc["detail"]

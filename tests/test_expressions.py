@@ -7,7 +7,9 @@ import pytest
 from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
-from mstep.identity_catalog import Identity, expr_from_json, expr_to_json, verdict
+from mstep import identity_catalog as catalog
+from mstep.identity_catalog import (Identity, expr_from_json, expr_to_json, load_manifest,
+                                    verdict, verdicts)
 from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
@@ -315,14 +317,27 @@ def test_planned_tables_on_nested_convs(tmp_path, capsys, monkeypatch, flags):
     assert len(cache.stored) == len(set(cache.stored)) == 4
     assert cache == {} and ex._CONV_PLAN == {}
     # Without a plan, tables are built on demand and kept, as in library use.
-    monkeypatch.setattr(ex, "plan_tables", lambda expr, length, plan: None)
+    monkeypatch.setattr(catalog, "verdicts", lambda idents, n_max, symbolic: [
+        (i, *verdict(i, n_max, symbolic)) for i in sorted(idents, key=lambda i: i.id)])
     monkeypatch.setattr(ex, "_CONV_CACHE", {})
     assert (main(argv), capsys.readouterr().out) == (code, out)
+    assert len(ex._CONV_CACHE) == 4
     if flags:
         passed = {doc["id"]: doc["pass"] for doc in json.loads(out)}
     else:
         passed = {line.split()[1]: line.startswith("PASS") for line in out.splitlines()[:-1]}
     assert code == 1 and passed == {"a_partial_sum": True, "b_nested": True, "c_offsets": False}
+
+
+def test_a_raising_verify_loop_leaves_no_tables():
+    # adjacent_m6 has n0 = 6, so n_max = 5 raises after the entries before it
+    # in id order have built their tables.  They are gone while the traceback,
+    # which holds the loop's frames, is still alive: not left to the collector.
+    ex.clear_caches()
+    with pytest.raises(ValueError, match="adjacent_m6: n_max 5 is below n0 6") as caught:
+        verdicts(load_manifest(), 5)
+    assert caught.tb is not None
+    assert ex._CONV_CACHE == {} and ex._CONV_PLAN == {}
 
 
 def test_verdict_called_directly_keeps_its_tables():

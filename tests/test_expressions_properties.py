@@ -3,7 +3,9 @@ rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
 compiled generating function, and every integral value is an int.  A sum's
 GF equals the one-at-a-time Henrici fold of its children's GFs.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
-so does every multi-kernel convolution table of the catalog.
+so does every multi-kernel convolution table of the catalog.  A verify
+loop over random conv identities decides as the entries one at a time do
+and leaves no table or plan behind, raising or not.
 ``den_degree`` bounds the degree of the compiled denominator, and
 ``gf_degree`` both degrees of a compiled gf tree.  The npoly
 rule equals the per-power rule it replaced, kept here as the reference."""
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from mstep import expressions as ex
 from mstep.convolution_oracle import conv_multi_prefix
-from mstep.identity_catalog import compile_gf, den_degree, gf_degree, load_manifest
+from mstep.identity_catalog import (Identity, compile_gf, den_degree, gf_degree, load_manifest,
+                                    verdict, verdicts)
 from mstep.series_algebra import P_ONE, Poly, RatFun, series_coeffs, series_divide, shift_series
 
 LENGTH = 30
@@ -248,3 +251,42 @@ def test_npoly_rule_on_a_zero_numerator():
     assert ex.gf_of_expr(ex.mul(ex.npoly(0, 0), ex.term("F"))) == zero
     assert ex.gf_of_expr(ex.mul(ex.const(0), ex.npoly(0, 1))) == zero
     assert naive_apply_npoly((0, 0), ex.gf_of_expr(ex.term("F"))) == zero
+
+
+conv_kernels = st.lists(st.builds(ex.Term, st.sampled_from(["F", "T", "Q", "pell"])),
+                        min_size=1, max_size=3)
+conv_offsets = st.integers(-6, 6)
+flat_convs = st.builds(lambda ks, c: ex.conv(*ks, offset=c), conv_kernels, conv_offsets)
+# one nested conv among the kernels: its table is read at the outer one's length
+nested_convs = st.builds(lambda ks, inner, c: ex.conv(*ks, inner, offset=c),
+                         conv_kernels, flat_convs, conv_offsets)
+conv_sides = st.one_of(flat_convs, nested_convs)
+
+
+@st.composite
+def conv_identities(draw):
+    """1 to 5 seq entries in random id order, some with n0 > 0."""
+    sides = draw(st.lists(st.tuples(conv_sides, conv_sides, st.integers(0, 3)),
+                          min_size=1, max_size=5))
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(sides), max_size=len(sides),
+                        unique=True))
+    return [Identity(f"e{k:02d}", "seq", lhs, rhs, n0) for k, (lhs, rhs, n0) in zip(ids, sides)]
+
+
+def _decisions(run):
+    """run()'s verdicts, or the message of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(conv_identities(), st.integers(0, 30), st.booleans())
+def test_verify_loop_decides_as_each_entry_and_leaves_no_tables(idents, n_max, symbolic):
+    ex.clear_caches()
+    got = _decisions(lambda: verdicts(idents, n_max, symbolic))
+    assert ex._CONV_CACHE == {} and ex._CONV_PLAN == {}
+    ex.clear_caches()
+    in_order = sorted(idents, key=lambda i: i.id)
+    assert got == _decisions(lambda: [(i, *verdict(i, n_max, symbolic)) for i in in_order])

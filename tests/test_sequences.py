@@ -156,8 +156,9 @@ def test_resolve_aliases_and_generic_names():
     for m in range(1, 9):
         assert resolve(f"F{m}") == registry()[mstep_name(m)]
     assert resolve("F9").order == 9
-    with pytest.raises(KeyError):
-        resolve("nope")
+    for name in ("nope", "F\u0663", "F\u00b2"):  # F<m> takes ASCII digits only
+        with pytest.raises(KeyError, match="unknown sequence name"):
+            resolve(name)
 
 
 def test_big_indices_have_many_digits():
