@@ -267,10 +267,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _at_most(args.max_p, MAX_SEARCH_P, "--max-p")
-    _at_most(args.max_k, MAX_SEARCH_K, "--max-k")
-    _at_most(args.max_span, MAX_SEARCH_SPAN, "--max-span")
-    _at_most(args.l_window or 0, MAX_SEARCH_L, "--l-window")
+    _at_least(args.m, 2, "--m")
+    for value, floor, cap, what in ((args.max_p, 1, MAX_SEARCH_P, "--max-p"),
+                                    (args.max_k, 1, MAX_SEARCH_K, "--max-k"),
+                                    (args.max_span, 0, MAX_SEARCH_SPAN, "--max-span"),
+                                    (args.l_window or 0, 0, MAX_SEARCH_L, "--l-window")):
+        _at_least(value, floor, what)
+        _at_most(value, cap, what)
     sols = pattern_search.search(
         args.m, p_max=args.max_p, k_card_max=args.max_k,
         k_span_max=args.max_span, l_window=args.l_window)

@@ -38,16 +38,19 @@ integral and a Fraction only when it is not, the rule of
 ``series_algebra``.  Brute-force simplex enumeration lives only in
 :mod:`mstep.convolution_oracle`.
 
-``gf_of_expr`` compiles a tree to a canonical RatFun, one rule per node
-kind, and raises :class:`NotCompilable` where the rational fragment ends:
+``gf_of_expr`` compiles a tree to a RatFun, one rule per node kind, with
+RatFun's gcd-free arithmetic, so the result need not be in lowest terms;
+it raises :class:`NotCompilable` where the rational fragment ends:
 a pointwise product with two non-scalar factors (e.g. F_n * T_n).  The
 scalars Const, Alt and NPoly share one rule, alone or in a Product: from
 the GF of the one other factor, or 1/(1-x) when there is none, apply Const
 and Alt in turn (c*g, +-g(-x)), then the product p of the NPoly factors
 (a_n -> p(n) a_n) as one linear map p(x d/dx) over D r^deg(p), where D is
 the denominator and r its squarefree part; it takes one gcd, gcd(D, D').
-A ``Sum`` adds the numerators of children over one denominator with one
-gcd, uses a lone child as it is and adds these groups by Henrici.
+A ``Sum`` adds the numerators of children over one denominator, then adds
+these groups over the lcm of their denominators, one gcd per group past
+the first, so ``identity_catalog.den_degree`` bounds the result's
+denominator; these are compilation's only gcds.
 Process-wide memos: ``sequences._HANDLES`` (terms), ``_CONV_CACHE``,
 ``_RANGE_CACHE`` and ``series_algebra._GFS`` (GFs); :func:`clear_caches`
 empties all four.  Only ``_CONV_CACHE`` is bounded, and only inside
@@ -372,8 +375,8 @@ _SCALARS = (Const, Alt, NPoly)  # pointwise factors that rescale a_n by a functi
 def _apply_npoly(p: Poly, g: RatFun) -> RatFun:
     # p(x d/dx) g turns a_n into p(n) a_n.  For g = N/D with D = r*s, s = gcd(D, D'),
     # (x d/dx)^k g = P_k/(D r^k): P_0 = N, P_(k+1) = x(P_k' r - P_k (D'/s + k r')).
-    # Each power raises every pole's order by one (D(0) != 0), so the Horner sum
-    # of p_k P_k r^(L-k) over D r^L, L = deg p, is already in lowest terms.
+    # The result is the Horner sum of p_k P_k r^(L-k) over D r^L, L = deg p; it
+    # is in lowest terms when g is (each power raises every pole's order by one).
     n, d, dd = g.num, g.den, g.den.derivative()
     s = poly_gcd(d, dd)
     r, e = d // s, dd // s
@@ -382,24 +385,29 @@ def _apply_npoly(p: Poly, g: RatFun) -> RatFun:
         if k:
             n = (r * n.derivative() - (e + r.derivative() * (k - 1)) * n).shift(1)
         acc, den = r * acc + n * c, r * den
-    return RatFun._coprime(acc, den)
+    return RatFun._raw(acc, den)
 
 
 def gf_of_expr(expr: SeqExpr) -> RatFun:
-    """Compile to a canonical RatFun.  Raises NotCompilable outside the
-    rational fragment and TypeError on a value that is not a node."""
+    """Compile to a RatFun, not always in lowest terms (module docstring).
+    Raises NotCompilable outside the rational fragment and TypeError on a
+    value that is not a node."""
     if isinstance(expr, Term):
         return shifted_gf(resolve(expr.seq), expr.shift)
     if isinstance(expr, Geo2):
         c = Fraction(2) ** expr.offset
         return RatFun(Poly.const(c), Poly((1, -2)))
     if isinstance(expr, Sum):
-        groups: dict = {}  # denominator -> the children's GFs over it
+        groups: dict = {}  # denominator -> the sum of the children's numerators over it
         for t in expr.terms:
             g = gf_of_expr(t)
-            groups.setdefault(g.den, []).append(g)
-        return sum(gs[0] if len(gs) == 1 else RatFun(sum((g.num for g in gs[1:]), gs[0].num), den)
-                   for den, gs in groups.items())
+            groups[g.den] = groups[g.den] + g.num if g.den in groups else g.num
+        (den, num), *rest = groups.items()
+        for d, n in rest:  # over lcm(den, d), one gcd unless one side is a constant
+            g = poly_gcd(den, d) if den.degree > 0 and d.degree > 0 else P_ONE
+            dg, deng = (d // g, den // g) if g.degree > 0 else (d, den)
+            num, den = num * dg + n * deng, den * dg
+        return RatFun._raw(num, den)
     if isinstance(expr, Scale):
         return expr.factor * gf_of_expr(expr.child)
     if isinstance(expr, ConvAtom):

@@ -6,8 +6,8 @@ which the equality is claimed.  Entries come in two kinds:
 
 * ``"seq"``  -- both sides are :mod:`mstep.expressions` trees, verified
   numerically term by term and, when both sides compile, symbolically via
-  canonical rational-function equality (allowing a polynomial discrepancy
-  below n0);
+  rational-function equality by cross-multiplication (allowing a
+  polynomial discrepancy below n0, ``series_algebra.agrees_from``);
 * ``"gf"``   -- both sides are generating-function trees verified by exact
   RatFun equality; n0 is always 0.
 
@@ -106,8 +106,9 @@ def _nothing_to_check(identity: Identity, n_max: int) -> ValueError:
 
 
 def identity_gfs(identity: Identity) -> tuple:
-    """Both sides as canonical RatFuns; for a side outside the rational
-    fragment, the ``expressions.NotCompilable`` that ``gf_of_expr`` raised."""
+    """Both sides as RatFuns, not always in lowest terms (they print in
+    lowest terms); for a side outside the rational fragment, the
+    ``expressions.NotCompilable`` that ``gf_of_expr`` raised."""
     if identity.kind == "gf":
         try:
             return compile_gf(identity.lhs), compile_gf(identity.rhs)
@@ -192,7 +193,8 @@ def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:
 
 
 def compile_gf(tree) -> RatFun:
-    """Compile a generating-function tree to a canonical RatFun.
+    """Compile a generating-function tree to a RatFun by RatFun's gcd-free
+    arithmetic, so its degrees are at most ``gf_degree``'s bound.
 
     Grammar: ["seqgf", name], ["poly", [coeffs...]], ["add"|"mul", ...],
     ["sub"|"div", a, b], ["neg", a], ["subneg", a] (x -> -x).  ``poly``

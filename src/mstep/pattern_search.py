@@ -99,8 +99,10 @@ def search(m: int, p_max: int, k_card_max: int, k_span_max: int,
     multiple N of the residue of x^l modulo chi_m for some l in range; the
     smallest such l is reported.
     """
-    if m < 2 or p_max < 1 or k_card_max < 1 or k_span_max < 0 or (l_window or 0) < 0:
-        raise ValueError("bounds must be positive (m >= 2, l_window >= 0)")
+    for what, value, floor in (("m", m, 2), ("p_max", p_max, 1), ("k_card_max", k_card_max, 1),
+                               ("k_span_max", k_span_max, 0), ("l_window", l_window or 0, 0)):
+        if value < floor:
+            raise ValueError(f"{what} = {value} is below {floor}: the range is empty")
     residues = _residues(m, max(k_span_max + p_max + m, l_window or 0))
     # primitive part of x^l mod chi_m -> (smallest such l, signed content)
     first_l: dict = {}

@@ -2,11 +2,10 @@
 
 This is the proof engine behind every generating-function identity in the
 package: dense polynomials whose coefficients are ``int`` wherever the value
-is an integer and ``fractions.Fraction`` only where it is not, a canonical
-rational-function type whose structural equality coincides with
-mathematical equality, Bezout inverses for partial fractions,
-Taylor-coefficient extraction, and the x -> -x substitution used by the
-alternating-sum identities.
+is an integer and ``fractions.Fraction`` only where it is not, a
+rational-function type whose equality is mathematical equality, Bezout
+inverses for partial fractions, Taylor-coefficient extraction, and the
+x -> -x substitution used by the alternating-sum identities.
 
 Polynomial gcds and Bezout inverses are fraction-free: one primitive
 polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
@@ -20,27 +19,32 @@ part h of degree deg g, and h dividing both a and b proves h = gcd(a, b).
 The PRS runs only when that proof fails: p divides a leading coefficient,
 the prime is unlucky, or the gcd's coefficients do not fit 2^60.
 
-Canonical form of a rational function N/D:
+Lowest terms are taken on demand.  The constructor ``RatFun(num, den)``
+is the one place that reduces, to the canonical form of N/D:
 
 * gcd(N, D) = 1 (polynomial gcd divided out),
 * all coefficients integral with gcd of the joint contents equal to 1,
 * the lowest-order nonzero coefficient of D is positive.
 
-With that normalization two RatFun values are equal as mathematical
-functions iff they are equal structurally.
-
-Sums and products reduce the way Henrici reduces fractions (Henrici,
-J. ACM 3, 1956; Knuth, TAOCP Vol. 2, Sec. 4.5.1): a/b + c/d takes
-g = gcd(b, d) (none when b == d) and h = gcd(t, g) for t = a(d/g) + c(b/g),
-giving (t/h) / ((b/g)(d/h)); a/b * c/d cancels gcd(a, d) and gcd(c, b),
-skipping each when one side is constant.  Neither takes the gcd of the
-full cross product, and the result, already in lowest terms, is built by
-the private ``RatFun._coprime``.
+Two functions in that form are equal iff they are equal structurally;
+``str`` and ``hash`` use it, so they do not depend on how a value was
+built.  Only they need lowest terms, so unlike Henrici's sums and
+products (J. ACM 3, 1956), which reduce at every step, sums, products,
+quotients, negation and ``substitute_neg`` take no gcd: a/b + c/d is
+(a d + c b)/(b d), or (a + c)/b when b == d, a scalar multiplies the
+numerator alone, and the result is built by the private ``RatFun._raw``
+with no gcd, content or sign step.  So a result's num and den need not
+be coprime, and every rule that compares reads them through a cross
+product: a/b == c/d iff a d == c b, and ``agrees_from`` divides a d - c b
+by b d.  ``is_polynomial`` and ``as_polynomial`` divide num by den
+exactly.
 
 Index shifts take no gcd.  For a power series f = N/D (D(0) != 0, so x is
 coprime to D), ``shift_series(f, s)``, the GF of n -> f_{n+s}, is x^|s| N/D
 for s < 0 and (N - P D)/(x^s D) for s > 0, with P = f_0 + ... + f_{s-1}
-x^(s-1); both are in lowest terms since gcd(N - P D, D) = gcd(N, D) = 1.
+x^(s-1); both are in lowest terms when N/D is, since
+gcd(N - P D, D) = gcd(N, D), and are built by the private
+``RatFun._coprime``, which takes the content and sign steps alone.
 The module imports nothing from the package: ``gf_of`` reads a spec's
 ``coeffs`` and ``seeds`` only, so it and ``sequences`` are independent.
 """
@@ -341,7 +345,8 @@ class NotAPowerSeries(ValueError):
 
 
 class RatFun:
-    """Canonical rational function num/den over the rationals."""
+    """Rational function num/den over the rationals; only the constructor
+    reduces it to lowest terms (module docstring)."""
 
     __slots__ = ("num", "den")
 
@@ -366,6 +371,13 @@ class RatFun:
         self._store(num, den)
         return self
 
+    @classmethod
+    def _raw(cls, num: Poly, den: Poly) -> "RatFun":
+        """num/den as given (den nonzero): no gcd, content or sign step."""
+        self = object.__new__(cls)
+        self.num, self.den = num, den
+        return self
+
     def _store(self, num: Poly, den: Poly) -> None:
         # Clear denominators jointly, then divide out the joint integer
         # content, signed so that den's lowest coefficient is positive.
@@ -387,36 +399,28 @@ class RatFun:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return self.den.degree == 0 or not self.num % self.den
 
     def as_polynomial(self) -> Poly:
-        if not self.is_polynomial():
+        q, r = divmod(self.num, self.den)
+        if r:
             raise ValueError(f"not a polynomial: {self}")
-        return self.num * Fraction(1, self.den.coeffs[0])
+        return q
 
     def __eq__(self, other):
-        return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
+        return isinstance(other, RatFun) and self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        f = RatFun(self.num, self.den)
+        return hash((f.num, f.den))
 
     # -- field operations -----------------------------------------------------
     def __add__(self, other):
-        # Henrici: only gcd(b, d) and gcd(t, g) are taken, never the gcd of
-        # the full cross product a*d + c*b over b*d.
         other = _as_ratfun(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
-            g, bg, dg = b, P_ONE, P_ONE
-        else:
-            g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else P_ONE
-            bg, dg = (b // g, d // g) if g.degree > 0 else (b, d)
-        t = a * dg + c * bg
-        if t and g.degree > 0:
-            h = poly_gcd(t, g)
-            if h.degree > 0:
-                t, d = t // h, d // h
-        return RatFun._coprime(t, bg * d)
+            return RatFun._raw(a + c, b)
+        return RatFun._raw(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -427,18 +431,13 @@ class RatFun:
         return _as_ratfun(other) + (-self)
 
     def __neg__(self):
-        return RatFun._coprime(-self.num, self.den)
+        return RatFun._raw(-self.num, self.den)
 
     def __mul__(self, other):
-        # Cancel across: gcd(a, d) and gcd(c, b), each skipped when one side
-        # is a constant, so the product needs no further gcd.
+        if isinstance(other, (int, Fraction)):
+            return RatFun._raw(self.num * other, self.den)
         other = _as_ratfun(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if a.is_zero() or c.is_zero():
-            return RatFun._coprime(P_ZERO, P_ONE)
-        a, d = _cancel(a, d)
-        c, b = _cancel(c, b)
-        return RatFun._coprime(a * c, b * d)
+        return RatFun._raw(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -446,18 +445,19 @@ class RatFun:
         other = _as_ratfun(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFun._coprime(other.den, other.num)
+        return RatFun._raw(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def substitute_neg(self) -> "RatFun":
-        """f(x) -> f(-x); x -> -x keeps num and den coprime."""
-        return RatFun._coprime(self.num.substitute_neg(), self.den.substitute_neg())
+        """f(x) -> f(-x)."""
+        return RatFun._raw(self.num.substitute_neg(), self.den.substitute_neg())
 
     # -- rendering ---------------------------------------------------------------
     def __str__(self):
-        num, den = self.num, self.den
+        f = RatFun(self.num, self.den)
+        num, den = f.num, f.den
         if den == P_ONE:
             return str(num)
         ns = str(num)
@@ -472,35 +472,29 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def _cancel(p: Poly, q: Poly) -> tuple:
-    """(p/g, q/g) with g = gcd(p, q); no gcd when either is a constant."""
-    if p.degree > 0 and q.degree > 0:
-        g = poly_gcd(p, q)
-        if g.degree > 0:
-            return p // g, q // g
-    return p, q
-
-
 def _as_ratfun(x) -> RatFun:
     if isinstance(x, RatFun):
         return x
-    if isinstance(x, Poly):
-        return RatFun(x)
-    return RatFun(Poly.const(x))
+    return RatFun._raw(x if isinstance(x, Poly) else Poly.const(x), P_ONE)
 
 
 def agrees_from(f: RatFun, g, n0: int) -> bool:
-    """True iff the power series f and g agree at every x^n with n >= n0.
+    """True iff the power series f = a/b and g = c/d agree at every x^n
+    with n >= n0.
 
-    That holds exactly when f - g is zero or a polynomial of degree < n0.
-    This is the package's one rule for "these two sides agree from n0 on":
-    catalog proofs, kernel checks and closed-form equivalence all end here.
+    That holds exactly when t = a*d - c*b is zero or b*d divides t with a
+    quotient of degree < n0: one cross product and at most one division,
+    no gcd.  This is the package's one rule for "these two sides agree
+    from n0 on": catalog proofs, kernel checks and closed-form equivalence
+    all end here.
     """
     g = _as_ratfun(g)
-    if f == g:  # canonical forms: no subtraction needed
+    a, b, c, d = f.num, f.den, g.num, g.den
+    t, dens = (a - c, (b,)) if b == d else (a * d - c * b, (b, d))
+    if t.is_zero():
         return True
-    diff = f - g
-    return diff.is_polynomial() and diff.num.degree < n0
+    # b*d is formed only when the degrees allow a quotient of degree < n0
+    return t.degree - sum(p.degree for p in dens) < n0 and not t % math.prod(dens)
 
 
 def series_coeffs(f: RatFun, count: int) -> list:

@@ -321,6 +321,16 @@ def test_negative_l_window_is_a_json_error(capsys):
     assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("flag, value, floor", [
+    ("--m", "1", 2), ("--max-p", "0", 1), ("--max-k", "0", 1), ("--max-span", "-1", 0),
+    ("--l-window", "-1", 0)])
+def test_search_names_the_bound_it_refuses(capsys, flag, value, floor):
+    argv = ["search", "--m", "3", flag, value]
+    code, out = run(capsys, *argv)
+    assert code == 2 and json.loads(out) == {
+        "error": "ValueError", "detail": f"{flag} = {value} is below {floor}: the range is empty"}
+
+
 def _verify_manifest(tmp_path, capsys, doc, *flags):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -1,7 +1,8 @@
 """Property tests for the expression evaluator: on random trees inside the
 rational fragment, ``evaluate_range`` equals the Taylor coefficients of the
 compiled generating function, and every integral value is an int.  A sum's
-GF equals the one-at-a-time Henrici fold of its children's GFs.  The
+GF equals the one-at-a-time fold of its children's GFs by RatFun's +, and
+takes one gcd per denominator past the first.  The
 convolution step equals a direct Cauchy sum for any denominator hint, and
 so does every multi-kernel convolution table of the catalog.  A verify
 loop over random conv identities decides as the entries one at a time do
@@ -12,14 +13,17 @@ rule equals the per-power rule it replaced, kept here as the reference."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mstep import expressions as ex
+from mstep import series_algebra
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep.identity_catalog import (Identity, compile_gf, den_degree, gf_degree, load_manifest,
                                     verdict, verdicts)
-from mstep.series_algebra import P_ONE, Poly, RatFun, series_coeffs, series_divide, shift_series
+from mstep.series_algebra import (P_ONE, Poly, RatFun, poly_gcd, series_coeffs, series_divide,
+                                   shift_series)
 
 LENGTH = 30
 
@@ -72,6 +76,21 @@ def test_sum_gf_equals_the_henrici_fold_of_its_children(children):
     for child in children[1:]:
         fold = fold + ex.gf_of_expr(child)
     assert ex.gf_of_expr(ex.Sum(tuple(children))) == fold
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(summands, min_size=2, max_size=8))
+def test_a_sum_takes_one_gcd_per_further_denominator(children):
+    """Children with k distinct denominators cost a Sum at most k - 1 gcds,
+    its lcm's: counting k compiles every child, and a recompiled child
+    reads its memoised GF, with no gcd."""
+    k = len({ex.gf_of_expr(c).den for c in children})
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (ex, series_algebra):
+            mp.setattr(module, "poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+        ex.gf_of_expr(ex.Sum(tuple(children)))
+    assert len(calls) <= k - 1
 
 
 def direct_product(a, b):
@@ -216,7 +235,7 @@ def _ratfun_derivative(f):
 def naive_apply_npoly(coeffs, g):
     """The per-power rule that ``expressions._apply_npoly`` replaced, kept as
     the reference: x d/dx one power at a time, each by a reduced derivative,
-    a shift and a Henrici add."""
+    a shift and an add."""
     acc = RatFun(Poly.const(coeffs[0])) * g if coeffs else RatFun(Poly())
     power = g
     for c in coeffs[1:]:

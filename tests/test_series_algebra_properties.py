@@ -1,9 +1,10 @@
 """Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd and
 Bezout certificate against naive Euclids over Fractions, uniqueness of the
 canonical form, the coefficient types (int where integral, Fraction
-otherwise, never float), Henrici-reduced field operations against the
-full-cross-product reference, the gcd-free one-sided shift against a
-gcd-normalised reference, and the GF memo."""
+otherwise, never float), gcd-free field operations whose lowest terms equal
+the full-cross-product reference, ``agrees_from`` against the
+subtract-and-reduce rule it replaced, the gcd-free one-sided shift against
+a gcd-normalised reference, and the GF memo."""
 
 import math
 from fractions import Fraction
@@ -168,13 +169,13 @@ def test_bezout_equals_the_fraction_euclid(ab):
 @props
 @given(polys, nonzero_polys, nonzero_scalars)
 def test_canonical_form_is_scale_invariant(a, b, k):
-    assert RatFun(a * k, b * k) == RatFun(a, b)
+    assert canonical(RatFun(a * k, b * k)) == canonical(RatFun(a, b))
 
 
 @props
 @given(polys, nonzero_polys, nonzero_polys)
 def test_canonical_form_cancels_common_factors(a, b, c):
-    assert RatFun(a * c, b * c) == RatFun(a, b)
+    assert canonical(RatFun(a * c, b * c)) == canonical(RatFun(a, b))
 
 
 @props
@@ -214,7 +215,7 @@ def test_integer_inputs_stay_integer(a, b):
         assert all(type(x) is int for x in p.coeffs)
 
 
-# -- Henrici arithmetic against the full cross product ---------------------------
+# -- gcd-free arithmetic against the full cross product ---------------------------
 
 
 def reference(num: Poly, den: Poly) -> tuple:
@@ -269,6 +270,11 @@ def canonical(f: RatFun) -> tuple:
     return f.num.coeffs, f.den.coeffs
 
 
+def lowest(f: RatFun) -> tuple:
+    """f's lowest terms, as the constructor reduces them."""
+    return canonical(RatFun(f.num, f.den))
+
+
 @st.composite
 def operand_pairs(draw):
     """Two RatFuns built so that their parts often share a factor: each of
@@ -287,14 +293,14 @@ def operand_pairs(draw):
 @given(operand_pairs())
 def test_field_operations_equal_the_cross_product_reference(pair):
     f, g = pair
-    assert canonical(f + g) == canonical(ref_add(f, g))
-    assert canonical(f - g) == canonical(ref_sub(f, g))
-    assert canonical(f * g) == canonical(ref_mul(f, g))
-    assert canonical(-f) == reference(-f.num, f.den)
-    assert canonical(f.substitute_neg()) == reference(f.num.substitute_neg(),
-                                                      f.den.substitute_neg())
+    assert lowest(f + g) == canonical(ref_add(f, g))
+    assert lowest(f - g) == canonical(ref_sub(f, g))
+    assert lowest(f * g) == canonical(ref_mul(f, g))
+    assert lowest(-f) == reference(-f.num, f.den)
+    assert lowest(f.substitute_neg()) == reference(f.num.substitute_neg(),
+                                                   f.den.substitute_neg())
     if not g.is_zero():
-        assert canonical(f / g) == canonical(ref_div(f, g))
+        assert lowest(f / g) == canonical(ref_div(f, g))
     for p in (f + g).num, (f * g).den:
         assert all(type(x) is int for x in p.coeffs)
 
@@ -304,14 +310,14 @@ def test_field_operations_equal_the_cross_product_reference(pair):
 def test_mixed_operands_equal_the_cross_product_reference(pair, k, p):
     f, _ = pair
     for other in (k, p):
-        assert canonical(f + other) == canonical(ref_add(f, other))
-        assert canonical(f - other) == canonical(ref_sub(f, other))
-        assert canonical(f * other) == canonical(ref_mul(f, other))
-        assert canonical(f / other) == canonical(ref_div(f, other))
-    assert canonical(k - f) == canonical(ref_sub(k, f))
-    assert canonical(k * f) == canonical(ref_mul(k, f))
+        assert lowest(f + other) == canonical(ref_add(f, other))
+        assert lowest(f - other) == canonical(ref_sub(f, other))
+        assert lowest(f * other) == canonical(ref_mul(f, other))
+        assert lowest(f / other) == canonical(ref_div(f, other))
+    assert lowest(k - f) == canonical(ref_sub(k, f))
+    assert lowest(k * f) == canonical(ref_mul(k, f))
     if not f.is_zero():
-        assert canonical(k / f) == canonical(ref_div(k, f))
+        assert lowest(k / f) == canonical(ref_div(k, f))
 
 
 _REFERENCE_OPS = {
@@ -337,9 +343,73 @@ def test_catalog_gfs_equal_the_cross_product_reference(monkeypatch):
         assert [str(s) for s in got] == [str(s) for s in sides], ident.id
         for g, e in zip(got, sides):
             if isinstance(e, RatFun):
-                assert canonical(g) == canonical(e), ident.id
+                assert lowest(g) == lowest(e), ident.id
             else:
                 assert isinstance(g, ex.NotCompilable), ident.id
+
+
+@props
+@given(operand_pairs(), nonzero_scalars)
+def test_field_operations_take_no_gcd(pair, k):
+    f, g = pair
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_algebra, "poly_gcd", lambda a, b: calls.append((a, b)))
+        results = [f + g, f - g, f * g, f * k, -f, f.substitute_neg(), f + k, k - f]
+        results += [f / g] if not g.is_zero() else []
+        results += [k / f] if not f.is_zero() else []
+    assert calls == [] and all(isinstance(r, RatFun) for r in results)
+
+
+@props
+@given(operand_pairs(), nonzero_polys)
+def test_a_common_factor_changes_neither_equality_nor_hash(pair, h):
+    f, g = pair
+    unreduced = RatFun._raw(h * f.num, h * f.den)
+    assert unreduced == f and f == unreduced and hash(unreduced) == hash(f)
+    assert str(unreduced) == str(f)
+    assert (unreduced == g) == (f == g)
+
+
+def old_agrees_from(f: RatFun, g: RatFun, n0: int) -> bool:
+    """The rule ``agrees_from`` replaced, kept as the reference: equal
+    canonical forms, or f - g reduced to lowest terms is a polynomial of
+    degree < n0."""
+    f, g = RatFun(f.num, f.den), RatFun(g.num, g.den)
+    if canonical(f) == canonical(g):
+        return True
+    diff = RatFun(f.num * g.den - g.num * f.den, f.den * g.den)
+    return diff.den.degree == 0 and diff.num.degree < n0
+
+
+@st.composite
+def agreement_pairs(draw):
+    """(f, g, n0): g is f plus a polynomial of degree n0 - 1 or n0 (or
+    zero, or a random other function), and either side may carry an
+    uncancelled common factor."""
+    n0 = draw(st.integers(0, 4))
+    f, other = draw(operand_pairs())
+    kind = draw(st.sampled_from(["n0 - 1", "n0", "zero", "other"]))
+    if kind == "other":
+        g = other
+    else:
+        degree = n0 - 1 if kind == "n0 - 1" else n0
+        cs = draw(st.lists(coeffs, min_size=degree + 1, max_size=degree + 1))
+        if cs:
+            cs[-1] = cs[-1] or 1
+        g = f + Poly(cs)
+    h = draw(nonzero_polys)
+    if draw(st.booleans()):
+        g = RatFun._raw(h * g.num, h * g.den)
+    return f, g, n0
+
+
+@settings(deadline=None, max_examples=200)
+@given(agreement_pairs())
+def test_agrees_from_equals_the_subtract_and_reduce_rule(case):
+    f, g, n0 = case
+    assert series_algebra.agrees_from(f, g, n0) == old_agrees_from(f, g, n0)
+    assert series_algebra.agrees_from(g, f, n0) == old_agrees_from(g, f, n0)
 
 
 # -- the generating-function memo ------------------------------------------------
