@@ -118,20 +118,11 @@ ConvAtom = _node("ConvAtom", "kernels offset", (0,))
 
 # -- builders ----------------------------------------------------------------
 
-def term(seq, shift: int = 0) -> Term:
-    return Term(seq, shift)
+term, alt, geo2 = Term, Alt, Geo2
 
 
 def npoly(*coeffs) -> NPoly:
     return NPoly(tuple(_coeff(c) for c in coeffs))
-
-
-def alt(offset: int = 0) -> Alt:
-    return Alt(offset)
-
-
-def geo2(offset: int = 0) -> Geo2:
-    return Geo2(offset)
 
 
 def const(value) -> Const:
@@ -368,15 +359,16 @@ class NotCompilable(ValueError):
     __str__ = ValueError.__repr__
 
 
-_RF_ONES = RatFun._coprime(P_ONE, Poly((1, -1)))  # 1/(1-x)
+_RF_ONES = RatFun(P_ONE, Poly((1, -1)))  # 1/(1-x)
 _SCALARS = (Const, Alt, NPoly)  # pointwise factors that rescale a_n by a function of n
 
 
 def _apply_npoly(p: Poly, g: RatFun) -> RatFun:
     # p(x d/dx) g turns a_n into p(n) a_n.  For g = N/D with D = r*s, s = gcd(D, D'),
     # (x d/dx)^k g = P_k/(D r^k): P_0 = N, P_(k+1) = x(P_k' r - P_k (D'/s + k r')).
-    # The result is the Horner sum of p_k P_k r^(L-k) over D r^L, L = deg p; it
-    # is in lowest terms when g is (each power raises every pole's order by one).
+    # The result, the Horner sum of p_k P_k r^(L-k) over D r^L, L = deg p, is
+    # stored as given, with no gcd; it is in lowest terms when g is (each power
+    # raises every pole's order by one).
     n, d, dd = g.num, g.den, g.den.derivative()
     s = poly_gcd(d, dd)
     r, e = d // s, dd // s
@@ -385,7 +377,7 @@ def _apply_npoly(p: Poly, g: RatFun) -> RatFun:
         if k:
             n = (r * n.derivative() - (e + r.derivative() * (k - 1)) * n).shift(1)
         acc, den = r * acc + n * c, r * den
-    return RatFun._raw(acc, den)
+    return RatFun(acc, den)
 
 
 def gf_of_expr(expr: SeqExpr) -> RatFun:
@@ -407,7 +399,7 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
             g = poly_gcd(den, d) if den.degree > 0 and d.degree > 0 else P_ONE
             dg, deng = (d // g, den // g) if g.degree > 0 else (d, den)
             num, den = num * dg + n * deng, den * dg
-        return RatFun._raw(num, den)
+        return RatFun(num, den)
     if isinstance(expr, Scale):
         return expr.factor * gf_of_expr(expr.child)
     if isinstance(expr, ConvAtom):

@@ -106,9 +106,10 @@ def _nothing_to_check(identity: Identity, n_max: int) -> ValueError:
 
 
 def identity_gfs(identity: Identity) -> tuple:
-    """Both sides as RatFuns, not always in lowest terms (they print in
-    lowest terms); for a side outside the rational fragment, the
-    ``expressions.NotCompilable`` that ``gf_of_expr`` raised."""
+    """Both sides as RatFuns, stored as built and so not always in lowest
+    terms (``str`` prints ``RatFun.lowest()``); for a side outside the
+    rational fragment, the ``expressions.NotCompilable`` that ``gf_of_expr``
+    raised."""
     if identity.kind == "gf":
         try:
             return compile_gf(identity.lhs), compile_gf(identity.rhs)

@@ -19,32 +19,30 @@ part h of degree deg g, and h dividing both a and b proves h = gcd(a, b).
 The PRS runs only when that proof fails: p divides a leading coefficient,
 the prime is unlucky, or the gcd's coefficients do not fit 2^60.
 
-Lowest terms are taken on demand.  The constructor ``RatFun(num, den)``
-is the one place that reduces, to the canonical form of N/D:
+Lowest terms are taken on demand.  ``RatFun(num, den)`` stores the pair
+as given, and ``RatFun.lowest()`` is the one reducer, to the canonical
+form of N/D:
 
 * gcd(N, D) = 1 (polynomial gcd divided out),
 * all coefficients integral with gcd of the joint contents equal to 1,
 * the lowest-order nonzero coefficient of D is positive.
 
-Two functions in that form are equal iff they are equal structurally;
+Two functions in that form are equal iff they are equal structurally.
 ``str`` and ``hash`` use it, so they do not depend on how a value was
-built.  Only they need lowest terms, so unlike Henrici's sums and
-products (J. ACM 3, 1956), which reduce at every step, sums, products,
-quotients, negation and ``substitute_neg`` take no gcd: a/b + c/d is
-(a d + c b)/(b d), or (a + c)/b when b == d, a scalar multiplies the
-numerator alone, and the result is built by the private ``RatFun._raw``
-with no gcd, content or sign step.  So a result's num and den need not
-be coprime, and every rule that compares reads them through a cross
-product: a/b == c/d iff a d == c b, and ``agrees_from`` divides a d - c b
-by b d.  ``is_polynomial`` and ``as_polynomial`` divide num by den
-exactly.
+built, and ``gf_of`` uses it, so a sequence's GF has the minimal
+denominator.  Nothing else reduces: unlike Henrici's sums and products
+(J. ACM 3, 1956), which reduce at every step, a/b + c/d is
+(a d + c b)/(b d), or (a + c)/b when b == d, and a scalar multiplies the
+numerator alone.  So a num and den need not be coprime, and every rule
+that compares reads them through a cross product: a/b == c/d iff
+a d == c b, and ``agrees_from`` divides a d - c b by b d.
 
 Index shifts take no gcd.  For a power series f = N/D (D(0) != 0, so x is
 coprime to D), ``shift_series(f, s)``, the GF of n -> f_{n+s}, is x^|s| N/D
-for s < 0 and (N - P D)/(x^s D) for s > 0, with P = f_0 + ... + f_{s-1}
-x^(s-1); both are in lowest terms when N/D is, since
-gcd(N - P D, D) = gcd(N, D), and are built by the private
-``RatFun._coprime``, which takes the content and sign steps alone.
+for s < 0 and ((N - P D)/x^s)/D for s > 0, with P = f_0 + ... + f_{s-1}
+x^(s-1); both keep the denominator D and are in lowest terms when N/D is,
+since gcd(N - P D, D) = gcd(N, D).
+
 The module imports nothing from the package: ``gf_of`` reads a spec's
 ``coeffs`` and ``seeds`` only, so it and ``sequences`` are independent.
 """
@@ -345,8 +343,8 @@ class NotAPowerSeries(ValueError):
 
 
 class RatFun:
-    """Rational function num/den over the rationals; only the constructor
-    reduces it to lowest terms (module docstring)."""
+    """Rational function num/den over the rationals, stored as given;
+    ``lowest`` is the one reducer (module docstring)."""
 
     __slots__ = ("num", "den")
 
@@ -357,49 +355,31 @@ class RatFun:
             den = Poly.const(den) if isinstance(den, (int, Fraction)) else Poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if den.degree > 0 and not num.is_zero():
+        self.num, self.den = num, den
+
+    def lowest(self) -> "RatFun":
+        """The same function in lowest terms: the gcd divided out, then
+        denominators cleared jointly and the joint integer content divided
+        out, signed so that den's lowest coefficient is positive."""
+        num, den = self.num, self.den
+        if num.is_zero():
+            return RatFun(P_ZERO)
+        if den.degree > 0:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-        self._store(num, den)
-
-    @classmethod
-    def _coprime(cls, num: Poly, den: Poly) -> "RatFun":
-        """num/den for a pair already in lowest terms (gcd(num, den) = 1,
-        den nonzero): no gcd, only the integral, content and sign steps."""
-        self = object.__new__(cls)
-        self._store(num, den)
-        return self
-
-    @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> "RatFun":
-        """num/den as given (den nonzero): no gcd, content or sign step."""
-        self = object.__new__(cls)
-        self.num, self.den = num, den
-        return self
-
-    def _store(self, num: Poly, den: Poly) -> None:
-        # Clear denominators jointly, then divide out the joint integer
-        # content, signed so that den's lowest coefficient is positive.
-        if num.is_zero():
-            num, den = P_ZERO, P_ONE
-        else:
-            split = len(num.coeffs)
-            cs = _integral(num.coeffs + den.coeffs)
-            c = math.gcd(*cs)
-            if cs[split + den.valuation()] < 0:
-                c = -c
-            if c != 1:
-                cs = [x // c for x in cs]
-            num, den = Poly(cs[:split]), Poly(cs[split:])
-        self.num, self.den = num, den
+        split = len(num.coeffs)
+        cs = _integral(num.coeffs + den.coeffs)
+        c = math.gcd(*cs)
+        if cs[split + den.valuation()] < 0:
+            c = -c
+        if c != 1:
+            cs = [x // c for x in cs]
+        return RatFun(Poly(cs[:split]), Poly(cs[split:]))
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0 or not self.num % self.den
 
     def as_polynomial(self) -> Poly:
         q, r = divmod(self.num, self.den)
@@ -408,10 +388,16 @@ class RatFun:
         return q
 
     def __eq__(self, other):
-        return isinstance(other, RatFun) and self.num * other.den == other.num * self.den
+        if isinstance(other, (int, Fraction)):
+            other = RatFun(other)
+        elif not isinstance(other, RatFun):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        f = RatFun(self.num, self.den)
+        f = self.lowest()
+        if f.den.degree == 0 and f.num.degree <= 0:  # a constant hashes as its value
+            return hash(Fraction(f.num[0], f.den[0]))
         return hash((f.num, f.den))
 
     # -- field operations -----------------------------------------------------
@@ -419,8 +405,8 @@ class RatFun:
         other = _as_ratfun(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
-            return RatFun._raw(a + c, b)
-        return RatFun._raw(a * d + c * b, b * d)
+            return RatFun(a + c, b)
+        return RatFun(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -431,13 +417,13 @@ class RatFun:
         return _as_ratfun(other) + (-self)
 
     def __neg__(self):
-        return RatFun._raw(-self.num, self.den)
+        return RatFun(-self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFun._raw(self.num * other, self.den)
+            return RatFun(self.num * other, self.den)
         other = _as_ratfun(other)
-        return RatFun._raw(self.num * other.num, self.den * other.den)
+        return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -445,18 +431,18 @@ class RatFun:
         other = _as_ratfun(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun._raw(self.num * other.den, self.den * other.num)
+        return RatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def substitute_neg(self) -> "RatFun":
         """f(x) -> f(-x)."""
-        return RatFun._raw(self.num.substitute_neg(), self.den.substitute_neg())
+        return RatFun(self.num.substitute_neg(), self.den.substitute_neg())
 
     # -- rendering ---------------------------------------------------------------
     def __str__(self):
-        f = RatFun(self.num, self.den)
+        f = self.lowest()
         num, den = f.num, f.den
         if den == P_ONE:
             return str(num)
@@ -473,9 +459,7 @@ class RatFun:
 
 
 def _as_ratfun(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    return RatFun._raw(x if isinstance(x, Poly) else Poly.const(x), P_ONE)
+    return x if isinstance(x, RatFun) else RatFun(x)
 
 
 def agrees_from(f: RatFun, g, n0: int) -> bool:
@@ -538,9 +522,9 @@ def shift_series(f: RatFun, s: int) -> RatFun:
     if den[0] == 0:
         raise NotAPowerSeries(f"den(0) = 0 in {den}")
     if s <= 0:
-        return RatFun._coprime(num.shift(-s), den)
+        return RatFun(num.shift(-s), den)
     num = num - Poly(series_coeffs(f, s)) * den
-    return RatFun._coprime(Poly(num.coeffs[s:]), den)
+    return RatFun(Poly(num.coeffs[s:]), den)
 
 
 # (spec, shift) -> GF of n -> a_{n+shift}; shift 0 is gf_of.  Unbounded:
@@ -554,22 +538,23 @@ def gf_of(spec) -> RatFun:
 
     Denominator D = 1 - sum(c_j x^j); numerator (seeds * D) mod x^len(seeds),
     forming only those terms, so the series reproduces the sequence exactly.
+    The pair is kept in lowest terms: ``shifted_gf``'s shared denominator
+    and the solver's coprimality check and Bezout steps need the minimal D.
     """
     g = _GFS.get((spec, 0))
     if g is None:
         den, seeds = [1] + [-c for c in spec.coeffs], spec.seeds
         num = [sum(seeds[j] * den[k - j] for j in range(max(0, k + 1 - len(den)), k + 1))
                for k in range(len(seeds))]
-        g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den))
+        g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den)).lowest()
     return g
 
 
 def shifted_gf(spec, shift: int) -> RatFun:
     """Generating function of n -> a_{n+shift} under the one-sided convention,
     ``shift_series`` of ``gf_of(spec)``, built once per (spec, shift) and kept
-    in ``_GFS``.  Its denominator is exactly ``gf_of(spec).den``: for an
-    integer spec that denominator is integral with constant term 1, so the
-    shift changes only the numerator."""
+    in ``_GFS``.  Its denominator is exactly ``gf_of(spec).den``: the shift
+    changes only the numerator."""
     g = _GFS.get((spec, shift))
     if g is None:
         g = _GFS[(spec, shift)] = shift_series(gf_of(spec), shift)

@@ -228,8 +228,8 @@ def test_catalog_convolution_tables_equal_the_direct_sum():
 
 
 def _ratfun_derivative(f):
-    """d/dx of a RatFun, reduced by RatFun's full gcd."""
-    return RatFun(f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den)
+    """d/dx of a RatFun, reduced by ``RatFun.lowest``'s full gcd."""
+    return RatFun(f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den).lowest()
 
 
 def naive_apply_npoly(coeffs, g):

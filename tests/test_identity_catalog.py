@@ -11,6 +11,7 @@ from mstep.identity_catalog import (
     Identity,
     catalog_index,
     identity_from_json,
+    identity_gfs,
     identity_to_json,
     kernel_check,
     load_manifest,
@@ -62,6 +63,29 @@ CATALOG_SHA256 = "5648a589495320c3c27d91a84516c56129b228a82a21df353ec3083d9d6319
 def test_built_catalog_is_pinned_by_its_digest():
     doc = json.dumps(manifest_document(build_identities()), indent=1)
     assert hashlib.sha256(doc.encode()).hexdigest() == CATALOG_SHA256
+
+
+# SHA-256 of both generating functions of every entry as ``gfcheck`` prints
+# them, "<id>\nlhs: <lhs>\nrhs: <rhs>\n" per entry in id order: any change
+# to a printed GF changes it.
+GFS_SHA256 = "2aa576b4627aad3ac9e9e3d334f8fddf6201f38ffb5208ba2511dd7c12fd24dd"
+
+
+def _gfs_digest(idents) -> str:
+    text = "".join(f"{i.id}\nlhs: {lhs}\nrhs: {rhs}\n"
+                   for i in sorted(idents, key=lambda i: i.id)
+                   for lhs, rhs in [identity_gfs(i)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_printed_gfs_are_pinned_by_their_digest(catalog, tmp_path, capsys):
+    """The built-in catalog and its exported JSON print the same GFs."""
+    manifest_build.main()
+    path = tmp_path / "catalog.json"
+    path.write_text(capsys.readouterr().out)
+    loaded = load_manifest(str(path))
+    assert len(catalog) == len(loaded) == 291
+    assert _gfs_digest(catalog) == _gfs_digest(loaded) == GFS_SHA256
 
 
 def test_every_parameter_appears_in_its_id(catalog):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mstep import expressions as ex, series_algebra
-from mstep.sequences import handle, make_mstep, registry
+from mstep.sequences import RecurrenceSpec, handle, make_mstep, registry
 from mstep.series_algebra import (
     NotAPowerSeries,
     P_ONE,
@@ -91,6 +91,14 @@ def test_ratfun_canonical_equality():
     assert f == f
 
 
+def test_a_scalar_compares_as_a_constant():
+    f = gf_of(registry()["F"])
+    assert f - f == 0 and 0 == f - f and f != 0
+    assert RatFun(6, 4) == Fraction(3, 2) and hash(RatFun(6, 4)) == hash(Fraction(3, 2))
+    assert RatFun(3) == 3 and hash(RatFun(3)) == hash(3)
+    assert RatFun(3) != "3" and RatFun(3) != P(3)
+
+
 def test_substitute_neg_sign_rule():
     f = gf_of(registry()["F"])
     assert f.substitute_neg() == RatFun(P(0, -1), P(1, 1, -1))
@@ -129,6 +137,13 @@ def test_gf_of_examples():
     assert gf_of(registry()["pell"]) == RatFun(P(0, 1), P(1, -2, -1))
     assert gf_of(registry()["pow2"]) == RatFun(P_ONE, P(1, -2))
     assert str(gf_of(registry()["F"])) == "x/(1 - x - x^2)"
+
+
+def test_gf_of_divides_out_a_common_factor():
+    # Fibonacci also satisfies a_n = 2a_(n-1) - a_(n-3): x(1 - x)/(1 - 2x + x^3),
+    # whose numerator and denominator share the factor 1 - x.
+    g = gf_of(RecurrenceSpec("fib3", 3, (2, 0, -1), (0, 1, 1)))
+    assert g.num == P(0, 1) and g.den == P(1, -1, -1)
 
 
 def test_gf_matches_terms_for_all_registered():

@@ -1,8 +1,9 @@
 """Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd and
 Bezout certificate against naive Euclids over Fractions, uniqueness of the
-canonical form, the coefficient types (int where integral, Fraction
-otherwise, never float), gcd-free field operations whose lowest terms equal
-the full-cross-product reference, ``agrees_from`` against the
+canonical form ``RatFun.lowest()`` reduces to, the coefficient types (int
+where integral, Fraction otherwise, never float), a gcd-free constructor
+and field operations whose lowest terms equal the full-cross-product
+reference, equality with scalars, ``agrees_from`` against the
 subtract-and-reduce rule it replaced, the gcd-free one-sided shift against
 a gcd-normalised reference, and the GF memo."""
 
@@ -169,13 +170,13 @@ def test_bezout_equals_the_fraction_euclid(ab):
 @props
 @given(polys, nonzero_polys, nonzero_scalars)
 def test_canonical_form_is_scale_invariant(a, b, k):
-    assert canonical(RatFun(a * k, b * k)) == canonical(RatFun(a, b))
+    assert lowest(RatFun(a * k, b * k)) == lowest(RatFun(a, b))
 
 
 @props
 @given(polys, nonzero_polys, nonzero_polys)
 def test_canonical_form_cancels_common_factors(a, b, c):
-    assert canonical(RatFun(a * c, b * c)) == canonical(RatFun(a, b))
+    assert lowest(RatFun(a * c, b * c)) == lowest(RatFun(a, b))
 
 
 @props
@@ -271,8 +272,8 @@ def canonical(f: RatFun) -> tuple:
 
 
 def lowest(f: RatFun) -> tuple:
-    """f's lowest terms, as the constructor reduces them."""
-    return canonical(RatFun(f.num, f.den))
+    """f's lowest terms, as ``RatFun.lowest`` reduces them."""
+    return canonical(f.lowest())
 
 
 @st.composite
@@ -301,6 +302,7 @@ def test_field_operations_equal_the_cross_product_reference(pair):
                                                    f.den.substitute_neg())
     if not g.is_zero():
         assert lowest(f / g) == canonical(ref_div(f, g))
+    f, g = f.lowest(), g.lowest()  # integral operands give integral results
     for p in (f + g).num, (f * g).den:
         assert all(type(x) is int for x in p.coeffs)
 
@@ -349,8 +351,8 @@ def test_catalog_gfs_equal_the_cross_product_reference(monkeypatch):
 
 
 @props
-@given(operand_pairs(), nonzero_scalars)
-def test_field_operations_take_no_gcd(pair, k):
+@given(operand_pairs(), nonzero_scalars, nonzero_polys)
+def test_field_operations_take_no_gcd(pair, k, h):
     f, g = pair
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -358,27 +360,33 @@ def test_field_operations_take_no_gcd(pair, k):
         results = [f + g, f - g, f * g, f * k, -f, f.substitute_neg(), f + k, k - f]
         results += [f / g] if not g.is_zero() else []
         results += [k / f] if not f.is_zero() else []
+        num, den = h * f.num, h * f.den
+        built = RatFun(num, den)
     assert calls == [] and all(isinstance(r, RatFun) for r in results)
+    assert built.num is num and built.den is den
 
 
 @props
-@given(operand_pairs(), nonzero_polys)
-def test_a_common_factor_changes_neither_equality_nor_hash(pair, h):
+@given(operand_pairs(), nonzero_polys, nonzero_scalars)
+def test_a_common_factor_changes_neither_equality_nor_hash(pair, h, k):
     f, g = pair
-    unreduced = RatFun._raw(h * f.num, h * f.den)
+    unreduced = RatFun(h * f.num, h * f.den)
     assert unreduced == f and f == unreduced and hash(unreduced) == hash(f)
     assert str(unreduced) == str(f)
     assert (unreduced == g) == (f == g)
+    constant = RatFun(h * k, h)  # a scalar compares and hashes as its value
+    assert constant == k and k == constant and hash(constant) == hash(k)
+    assert f - f == 0 and 0 == f - f and (f == k) == (f == RatFun(k))
 
 
 def old_agrees_from(f: RatFun, g: RatFun, n0: int) -> bool:
     """The rule ``agrees_from`` replaced, kept as the reference: equal
     canonical forms, or f - g reduced to lowest terms is a polynomial of
     degree < n0."""
-    f, g = RatFun(f.num, f.den), RatFun(g.num, g.den)
+    f, g = f.lowest(), g.lowest()
     if canonical(f) == canonical(g):
         return True
-    diff = RatFun(f.num * g.den - g.num * f.den, f.den * g.den)
+    diff = RatFun(f.num * g.den - g.num * f.den, f.den * g.den).lowest()
     return diff.den.degree == 0 and diff.num.degree < n0
 
 
@@ -400,7 +408,7 @@ def agreement_pairs(draw):
         g = f + Poly(cs)
     h = draw(nonzero_polys)
     if draw(st.booleans()):
-        g = RatFun._raw(h * g.num, h * g.den)
+        g = RatFun(h * g.num, h * g.den)
     return f, g, n0
 
 
@@ -455,7 +463,7 @@ def old_gf_of(spec) -> RatFun:
 @given(recurrences())
 def test_gf_of_equals_the_term_by_term_numerator(spec):
     ex.clear_caches()
-    assert canonical(gf_of(spec)) == canonical(old_gf_of(spec))
+    assert canonical(gf_of(spec)) == lowest(old_gf_of(spec))
 
 
 @props
@@ -474,24 +482,25 @@ def test_registry_shifted_gfs_keep_the_gf_denominator():
 
 
 power_series = st.tuples(polys, nonzero_polys.filter(lambda d: d[0] != 0)).map(
-    lambda nd: RatFun(*nd))
+    lambda nd: RatFun(*nd).lowest())
 shifts = st.integers(-8, 8)
 
 
 def ref_shift(f: RatFun, s: int) -> RatFun:
-    """n -> f_{n+s}, one-sided, normalised through RatFun(...)'s gcd:
+    """n -> f_{n+s}, one-sided, normalised through RatFun.lowest()'s gcd:
     x^-s f for s <= 0, (f - f_0 - ... - f_{s-1} x^(s-1)) / x^s for s > 0."""
     if s <= 0:
-        return RatFun(f.num * Poly((0,) * -s + (1,)), f.den)
+        return RatFun(f.num * Poly((0,) * -s + (1,)), f.den).lowest()
     prefix = Poly(series_coeffs(f, s))
-    return RatFun(f.num - prefix * f.den, f.den * Poly((0,) * s + (1,)))
+    return RatFun(f.num - prefix * f.den, f.den * Poly((0,) * s + (1,))).lowest()
 
 
 @props
 @given(power_series, shifts)
 def test_shift_series_equals_the_gcd_normalised_reference(f, s):
     got = shift_series(f, s)
-    assert canonical(got) == canonical(ref_shift(f, s))
+    assert got.den == f.den and lowest(got) == canonical(ref_shift(f, s))
+    assert poly_gcd(got.num, got.den).degree == 0  # lowest terms up to a scalar, as f is
     series = series_coeffs(f, 12 + max(s, 0))
     want = [series[n + s] if n + s >= 0 else 0 for n in range(12)]
     assert series_coeffs(got, 12) == want
@@ -506,7 +515,7 @@ def test_shift_series_takes_no_gcd(f, s):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_algebra, "poly_gcd", refuse)
         got = shift_series(f, s)
-    assert canonical(got) == canonical(ref_shift(f, s))
+    assert lowest(got) == canonical(ref_shift(f, s))
 
 
 @props
