@@ -205,32 +205,20 @@ def _cmd_verify(args) -> int:
     _at_most(args.max_n, MAX_VERIFY_N, "--max-n")
     idents = [_entry(args)] if args.id is not None else catalog.load_manifest(args.manifest)
     reports = catalog.verdicts(idents, args.max_n, symbolic=args.symbolic)
-    all_ok = all(ok for _, ok, _ in reports)
+    bad = sum(not rep.passed for rep in reports)
     if args.format == "json":
-        docs = []
-        for ident, ok, rep in reports:
-            doc = rep.to_json()
-            if ident.negative:
-                # report the regression outcome; the raw run fails by design
-                doc["pass"] = ok
-                doc["negative"] = True
-            docs.append(doc)
-        print(json.dumps(docs))
+        print(json.dumps([rep.to_json() for rep in reports]))
     else:
-        for ident, ok, rep in reports:
-            status = "PASS" if ok else "FAIL"
-            note = ""
-            if ident.negative:
-                note = "documented misprint, fails as recorded" if ok else "UNEXPECTED behaviour"
-            suffix = f" [{note}]" if note else ""
-            extra = "" if ok else f" first_failure={rep.first_failure}"
-            print(f"{status} {ident.id} ({rep.mode}){suffix}{extra}")
-        if all_ok:
-            print("identities: all pass")
-        else:
-            bad = sum(not ok for _, ok, _ in reports)
-            print(f"identities: {bad} failed")
-    return 0 if all_ok else 1
+        for rep in reports:
+            line = f"{'PASS' if rep.passed else 'FAIL'} {rep.id} ({rep.mode})"
+            if rep.negative:
+                line += (" [documented misprint, fails as recorded]" if rep.passed
+                         else " [UNEXPECTED behaviour]")
+            if not rep.passed:
+                line += f" first_failure={rep.first_failure}"
+            print(line)
+        print(f"identities: {bad} failed" if bad else "identities: all pass")
+    return 1 if bad else 0
 
 
 def _cmd_solve(args) -> int:

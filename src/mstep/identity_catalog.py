@@ -49,8 +49,11 @@ class Identity(namedtuple("Identity", "id kind lhs rhs n0 params paper_quote neg
         return super().__new__(cls, id, kind, lhs, rhs, n0, params, paper_quote, negative)
 
 
-class VerifyReport(namedtuple("VerifyReport", "id mode passed first_failure", defaults=(None,))):
-    """mode is "numeric" or "symbolic"; first_failure is None on a pass."""
+class VerifyReport(namedtuple("VerifyReport", "id mode passed first_failure negative",
+                               defaults=(None, False))):
+    """mode is "numeric" or "symbolic"; first_failure is the run's first
+    disagreement, or None.  passed is the catalog's decision: for a
+    documented misprint (negative) it means "fails exactly as recorded"."""
 
     __slots__ = ()
 
@@ -58,6 +61,8 @@ class VerifyReport(namedtuple("VerifyReport", "id mode passed first_failure", de
         out = {"id": self.id, "mode": self.mode, "pass": self.passed}
         if self.first_failure is not None:
             out["first_failure"] = self.first_failure
+        if self.negative:
+            out["negative"] = True
         return out
 
 
@@ -141,29 +146,29 @@ def verify_symbolic(identity: Identity) -> VerifyReport | None:
     )
 
 
-def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> tuple:
-    """The catalog's decision for one entry, as (ok, report).
+def verdict(identity: Identity, n_max: int = 200, symbolic: bool = False) -> VerifyReport:
+    """The report of one entry; its ``passed`` is the catalog's decision.
 
-    A documented misprint is ok when it fails exactly as recorded
-    (:func:`negative_as_documented`).  Any other entry is ok when its report
-    passes: GF entries are always proved symbolically; for sequence entries,
-    ``symbolic=True`` attempts the generating-function proof first and falls
-    back to the numeric check when a side is not compilable.  An n_max
-    below 0 is an empty range for every entry: ValueError before any proof.
+    A misprint's report is its numeric run, passed when it fails exactly as
+    recorded (:func:`negative_as_documented`).  GF entries are always proved
+    symbolically; for sequence entries, ``symbolic=True`` attempts the
+    generating-function proof first and falls back to the numeric check
+    when a side is not compilable.  An n_max below 0 is an empty range for
+    every entry: ValueError before any proof.
     """
     if n_max < 0:
         raise _nothing_to_check(identity, n_max)
     if identity.negative:
-        return negative_as_documented(identity, n_max)
+        ok, rep = negative_as_documented(identity, n_max)
+        return rep._replace(passed=ok, negative=True)
     rep = verify_symbolic(identity) if identity.kind == "gf" or symbolic else None
     if rep is None:
         rep = verify_numeric(identity, n_max)
-    return rep.passed, rep
+    return rep
 
 
 def verdicts(idents, n_max: int = 200, symbolic: bool = False) -> list:
-    """(identity, ok, report) for each entry in id order, as :func:`verdict`
-    decides it.
+    """The :func:`verdict` report of each entry, in id order.
 
     The seq sides' convolution tables live in ``expressions.planned``: each
     kernel tuple is built once, at the longest length any entry reads, and
@@ -172,7 +177,7 @@ def verdicts(idents, n_max: int = 200, symbolic: bool = False) -> list:
     idents = sorted(idents, key=lambda i: i.id)
     sides = [(i.lhs, i.rhs) if i.kind == "seq" else () for i in idents]
     with closing(ex.planned(sides, n_max + 1)) as order:
-        return [(idents[k], *verdict(idents[k], n_max, symbolic)) for k in order]
+        return [verdict(idents[k], n_max, symbolic) for k in order]
 
 
 def negative_as_documented(identity: Identity, n_max: int = 200) -> tuple:

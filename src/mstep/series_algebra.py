@@ -126,10 +126,15 @@ class Poly:
         return 0
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):  # a scalar compares as a constant
+            return self.coeffs == ((other,) if other else ())
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its value, since it equals that scalar
+        return hash(self.coeffs if len(self.coeffs) > 1 else self[0])
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
@@ -358,9 +363,9 @@ class RatFun:
         self.num, self.den = num, den
 
     def lowest(self) -> "RatFun":
-        """The same function in lowest terms: the gcd divided out, then
-        denominators cleared jointly and the joint integer content divided
-        out, signed so that den's lowest coefficient is positive."""
+        """The same function in lowest terms: the gcd divided out, then den
+        and num made primitive jointly (:meth:`Poly.primitive` of den's
+        coefficients, then num's), so den's lowest coefficient is positive."""
         num, den = self.num, self.den
         if num.is_zero():
             return RatFun(P_ZERO)
@@ -368,14 +373,9 @@ class RatFun:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-        split = len(num.coeffs)
-        cs = _integral(num.coeffs + den.coeffs)
-        c = math.gcd(*cs)
-        if cs[split + den.valuation()] < 0:
-            c = -c
-        if c != 1:
-            cs = [x // c for x in cs]
-        return RatFun(Poly(cs[:split]), Poly(cs[split:]))
+        split = len(den.coeffs)
+        cs = Poly(den.coeffs + num.coeffs).primitive().coeffs
+        return RatFun(Poly(cs[split:]), Poly(cs[:split]))
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:

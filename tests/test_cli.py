@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -144,6 +145,56 @@ def test_verify_a_misprint_short_of_its_recorded_failure_is_an_error(capsys):
     assert code == 0 and "documented misprint, fails as recorded" in out
 
 
+def _four_outcome_manifest(tmp_path) -> str:
+    """A pass, a misprint that fails as recorded, a misprint whose record is
+    wrong, and a misprint that passes: every outcome verify can print."""
+    from mstep import identity_catalog
+    from mstep.manifest_build import build_identities
+
+    doc = identity_catalog.manifest_document(build_identities())
+    by_id = {e["id"]: e for e in doc["identities"]}
+    printed = by_id["printed_pow2_TQ"]
+    wrong_record = json.loads(json.dumps(printed))
+    wrong_record["id"] = "printed_pow2_TQ_wrong_record"
+    wrong_record["negative"]["first_fail"]["rhs"] = "7"
+    passes = dict(by_id["pow2_TQ"], id="printed_pow2_TQ_passes", negative=printed["negative"])
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"version": 1, "identities": [
+        by_id["conv_FT"], printed, passes, wrong_record]}))
+    return str(path)
+
+
+def test_verify_prints_every_outcome_of_the_four(tmp_path, capsys):
+    path = _four_outcome_manifest(tmp_path)
+    code, out = run(capsys, "verify", "--all", "--manifest", path)
+    assert code == 1 and out == (
+        "PASS conv_FT (numeric)\n"
+        "PASS printed_pow2_TQ (numeric) [documented misprint, fails as recorded]\n"
+        "FAIL printed_pow2_TQ_passes (numeric) [UNEXPECTED behaviour] first_failure=None\n"
+        "FAIL printed_pow2_TQ_wrong_record (numeric) [UNEXPECTED behaviour]"
+        " first_failure={'n': 0, 'lhs': '0', 'rhs': '1'}\n"
+        "identities: 2 failed\n")
+    code, out = run(capsys, "verify", "--all", "--manifest", path, "--format", "json")
+    failure = {"n": 0, "lhs": "0", "rhs": "1"}
+    assert code == 1 and out == json.dumps([  # key order too: "negative" comes last
+        {"id": "conv_FT", "mode": "numeric", "pass": True},
+        {"id": "printed_pow2_TQ", "mode": "numeric", "pass": True, "first_failure": failure,
+         "negative": True},
+        {"id": "printed_pow2_TQ_passes", "mode": "numeric", "pass": False, "negative": True},
+        {"id": "printed_pow2_TQ_wrong_record", "mode": "numeric", "pass": False,
+         "first_failure": failure, "negative": True},
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "0a5cc75ec990b6acb98a59f93de50efbd0677eb6288196cfcadd485eea7dc464"),
+    (["--symbolic"], "01b0e18ac0495f00cd7084810a8d6cc6847a5ce5b03e1de897c29a7cfc71c3ea"),
+], ids=["numeric", "symbolic"])
+def test_verify_all_json_is_pinned_by_its_digest(capsys, flags, digest):
+    code, out = run(capsys, "verify", "--all", "--max-n", "200", "--format", "json", *flags)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_solve_latex_form(capsys):
     code, out = run(capsys, "solve", "--factors", "F,Q", "--format", "latex")
     assert code == 0
@@ -164,6 +215,21 @@ def test_solve_noncoprime_exit_2(capsys):
     code, out = run(capsys, "solve", "--factors", "pow2,jacobsthal")
     doc = json.loads(out)
     assert code == 2 and doc["error"] == "NonCoprime" and "1 - 2*x" in doc["detail"]
+
+
+_SHARE_2X = "denominators of {} share the factor 1 - 2*x"
+
+
+@pytest.mark.parametrize("factors, error, detail", [
+    ("F,pow2,jacobsthal", "NonCoprime", _SHARE_2X.format("pow2*jacobsthal")),
+    ("jacobsthal,F,pow2", "NonCoprime", _SHARE_2X.format("jacobsthal*pow2")),
+    ("T,F,Q,F", "RepeatedFactor", "repeated denominator 1 - x - x^2 (F, F)"),
+    # the first pair in factor order wins over the later repeat of pow2
+    ("pow2,F,jacobsthal,pow2", "NonCoprime", _SHARE_2X.format("pow2*jacobsthal")),
+])
+def test_solve_names_the_first_shared_factor_among_three_or_more(capsys, factors, error, detail):
+    code, out = run(capsys, "solve", "--factors", factors)
+    assert code == 2 and json.loads(out) == {"error": error, "detail": detail}
 
 
 def test_table_small(capsys):

@@ -308,4 +308,4 @@ def test_verify_loop_decides_as_each_entry_and_leaves_no_tables(idents, n_max, s
     assert ex._CONV_CACHE == {} and ex._CONV_PLAN == {}
     ex.clear_caches()
     in_order = sorted(idents, key=lambda i: i.id)
-    assert got == _decisions(lambda: [(i, *verdict(i, n_max, symbolic)) for i in in_order])
+    assert got == _decisions(lambda: [verdict(i, n_max, symbolic) for i in in_order])

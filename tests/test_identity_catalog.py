@@ -139,6 +139,16 @@ def test_printed_tq_pow2_fails_as_documented(by_id):
     assert verify_numeric(by_id["pow2_TQ"], 200).passed
 
 
+def test_verdict_on_a_misprint_is_the_run_with_the_catalog_decision(by_id):
+    ident = by_id["printed_pow2_TQ"]
+    ok, raw = negative_as_documented(ident, 200)
+    for symbolic in (False, True):
+        rep = verdict(ident, 200, symbolic)
+        assert rep == raw._replace(passed=ok, negative=True)
+        assert rep.passed and rep.first_failure == {"n": 0, "lhs": "0", "rhs": "1"}
+    assert verdict(by_id["pow2_TQ"], 200).negative is False
+
+
 def test_kernel_check_recurrence_combo():
     assert kernel_check("F", {2: 1, 1: -1, 0: -1}, None, 1)
 
@@ -197,8 +207,8 @@ def test_all_seq_entries_compile_or_fall_back(catalog):
     # or falls back to the numeric check.
     for ident in catalog:
         if ident.kind == "seq" and not ident.negative:
-            ok, rep = verdict(ident, 60, symbolic=True)
-            assert ok and rep.passed, ident.id
+            rep = verdict(ident, 60, symbolic=True)
+            assert rep.passed, ident.id
 
 
 def test_symbolic_fallback_for_noncompilable():
@@ -207,7 +217,7 @@ def test_symbolic_fallback_for_noncompilable():
     hadamard = ex.mul(ex.term("F"), ex.term("T"))
     ident = Identity("adhoc_hadamard", "seq", hadamard, hadamard, 0)
     assert verify_symbolic(ident) is None
-    assert verdict(ident, 30, symbolic=True)[1].mode == "numeric"
+    assert verdict(ident, 30, symbolic=True).mode == "numeric"
 
 
 def test_gf_entries_sample(by_id):

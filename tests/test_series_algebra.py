@@ -99,6 +99,18 @@ def test_a_scalar_compares_as_a_constant():
     assert RatFun(3) != "3" and RatFun(3) != P(3)
 
 
+def test_a_scalar_compares_as_a_constant_poly():
+    assert P(3) == 3 and 3 == P(3) and hash(P(3)) == hash(3)
+    assert Poly() == 0 and 0 == Poly() and hash(Poly()) == hash(0)
+    assert P(Fraction(1, 2)) == Fraction(1, 2) and Fraction(1, 2) == P(Fraction(1, 2))
+    assert hash(P(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert P(Fraction(6, 2)) == 3 and P(3) == Fraction(3)
+    assert P(1, 1) != 1 and 1 != P(1, 1) and P(3) != 4 and Poly() != 3
+    assert P(3) != "3" and "3" != P(3) and P(3) != 3.0
+    assert hash(P(1, 1)) == hash(P(1, 1)) and P(1, 1) == P(1, 1) and P(1, 1) != P(1, 2)
+    assert {P(3): "x"}[3] == "x" and {3: "x"}[P(3)] == "x"
+
+
 def test_substitute_neg_sign_rule():
     f = gf_of(registry()["F"])
     assert f.substitute_neg() == RatFun(P(0, -1), P(1, 1, -1))
