@@ -2,9 +2,10 @@
 
 ``solve_conv_multi`` takes any ``RecurrenceSpec`` values (or registered
 names) whose GF denominators are pairwise coprime.  The
-product GF N/D is divided once, N = Q*D + R; R/D splits over the factors'
-denominators D_i with one Bezout inverse each, and each partial fraction
-A(x)/D_i(x) becomes rational-coefficient shifts of sequence i:  for a
+product GF N/D is pseudo-divided once, s*N = Q*D + R; R/D splits over the
+factors' denominators D_i with one Bezout inverse each, and each partial
+fraction A(x)/D_i(x) becomes rational-coefficient shifts of sequence i
+(every polynomial stays integral, its scalars kept as one Fraction):  for a
 sequence whose GF numerator is the monomial c*x^s, A/D = (A/(c x^s)) * gf,
 so the monomials of A map one-to-one onto shifts (a nonzero constant term
 of A yields the shift +1 term a_{n+1}, which is exact because such
@@ -41,7 +42,7 @@ from functools import cached_property
 from . import expressions as ex
 from .convolution_oracle import conv_multi_prefix
 from .sequences import handle, make_mstep, mstep_name, resolve
-from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, gf_of, poly_gcd
+from .series_algebra import P_ONE, Poly, RatFun, agrees_from, bezout, gf_of, poly_gcd, prem
 
 
 class SolverError(Exception):
@@ -112,7 +113,7 @@ class ClosedForm:
     def gf(self) -> RatFun:
         """Generating function of ``expr`` plus the corrections polynomial."""
         top = max(self.corrections, default=-1)
-        fixed = RatFun(Poly([self.corrections.get(k, 0) for k in range(top + 1)]))
+        fixed = RatFun([self.corrections.get(k, 0) for k in range(top + 1)])
         return ex.gf_of_expr(self.expr) + fixed
 
     def check_oracle(self, n_max: int = 100) -> bool:
@@ -228,19 +229,20 @@ def solve_conv_multi(specs) -> ClosedForm:
     num = den = P_ONE
     for g in gfs:
         num, den = num * g.num, den * g.den
-    # N/D = Q + R/D with R/D = sum_i A_i/D_i, A_i = R * (D/D_i)^-1 mod D_i.
-    quotient, rem = divmod(num, den)
+    # s*N = Q*D + R, so N/D = (Q + R/D)/s with R/D = sum_i A_i/D_i and
+    # A_i = R * (D/D_i)^-1 mod D_i, each a Fraction times an integral polynomial.
+    s, rem = prem(num, den)
     corrections: dict = {}
-    _add_poly_corrections(corrections, quotient)
+    _add_poly_corrections(corrections, (num * s - rem) // den, Fraction(1, s))
     parts = []
     for spec, g in zip(specs, gfs):
         d = g.den
-        # D/D_i mod D_i gives the same inverse from a PRS of degree deg D_i.
-        u, _ = bezout((den // d) % d, d)  # coprime: g = 1, u*(D/D_i) = 1 mod D_i
-        a_i = (rem * u) % d
-        combo, extra = _fraction_to_shifts(g, a_i)
-        parts.append((spec, combo))
-        _add_poly_corrections(corrections, extra)
+        # D/D_i mod D_i gives the same inverse from a PRS of degree deg D_i:
+        # t*(D/D_i) = r and u*r = c (mod D_i), coprime, so the inverse is u*t/c.
+        t, r = prem(den // d, d)
+        u, c, _ = bezout(r, d)
+        k, a_i = prem(rem * u, d)  # k*R*u = a_i (mod D_i), so A_i = a_i*t/(c*k)
+        parts.append((spec, _fraction_to_shifts(g, a_i, Fraction(t, s * c * k), corrections)))
 
     cf = ClosedForm(
         factors=tuple(specs),
@@ -253,8 +255,9 @@ def solve_conv_multi(specs) -> ClosedForm:
     return cf
 
 
-def _fraction_to_shifts(g: RatFun, a: Poly):
-    """Express A/D as shifts of the sequence with GF g = N/D plus a polynomial.
+def _fraction_to_shifts(g: RatFun, a: Poly, scale: Fraction, corrections: dict) -> dict:
+    """Express scale*A/D as shifts of the sequence with GF g = N/D plus a
+    polynomial, which is added to ``corrections``; returns the shifts.
 
     With GF numerator c*x^s, A/D = (A/(c x^s)) * gf, so monomial k of A
     becomes the shift s-k.  Shifts up to +s are exact power series because
@@ -263,28 +266,25 @@ def _fraction_to_shifts(g: RatFun, a: Poly):
     Bezout rewrite whose leftover polynomial lands in the corrections.
     """
     if a.is_zero():
-        return {}, Poly()
+        return {}
     num = g.num
     val = num.valuation()
     if all(c == 0 for k, c in enumerate(num.coeffs) if k != val):
-        c0 = num.coeffs[val]
-        combo = {}
-        for k, c in enumerate(a.coeffs):
-            if c:
-                combo[val - k] = Fraction(c, c0)
-        return combo, Poly()
-    # gf_of is in lowest terms, so alpha*num = 1 mod den.
-    alpha, _ = bezout(num, g.den)
-    c_part = (a * alpha) % g.den
-    combo = {-k: c for k, c in enumerate(c_part.coeffs) if c}
-    extra = (a - c_part * num) // g.den
-    return combo, extra
+        scale /= num.coeffs[val]
+        return {val - k: c * scale for k, c in enumerate(a.coeffs) if c}
+    # gf_of is in lowest terms, so t*num = c (mod den); then k*a*t = r (mod den),
+    # and A = (r/(c k))*num + E*den with (c k) E = c k A - r num.
+    t, c, _ = bezout(num, g.den)
+    k, r = prem(a * t, g.den)
+    scale /= c * k
+    _add_poly_corrections(corrections, (a * (c * k) - r * num) // g.den, scale)
+    return {-j: x * scale for j, x in enumerate(r.coeffs) if x}
 
 
-def _add_poly_corrections(corrections: dict, poly: Poly) -> None:
+def _add_poly_corrections(corrections: dict, poly: Poly, scale: Fraction) -> None:
     for k, c in enumerate(poly.coeffs):
         if c:
-            corrections[k] = corrections.get(k, Fraction(0)) + c
+            corrections[k] = corrections.get(k, Fraction(0)) + c * scale
 
 
 # -- equivalence modulo recurrence kernels ------------------------------------------
@@ -403,8 +403,7 @@ def _derive_quadruple_case(m, lo, hi):
     g = gf_of(resolve(lo))
     window = Poly([1] * (2 * m + 2))
     # c(x) = (window - 4x) * gf is a polynomial: the window lemma's defect.
-    c_rf = RatFun((window - Poly((0, 4))) * g.num, g.den)
-    c_poly = c_rf.as_polynomial()
+    c_poly = (window - Poly((0, 4))) * g.num // g.den
     restricted = ex.scale(4, ex.conv(ex.term(hi), ex.term(lo, 2 * m), offset=-(3 * m + 1)))
     prefix = Poly([h.term(j) for j in range(2 * m)])
     q = (c_poly + Poly((0, 4)) * prefix).shift(m)

@@ -34,8 +34,8 @@ extension: with E = D*kernel, which has finite support when D is right,
 the table is (table*E)/D, so it costs linear, not quadratic, time in its
 length.
 Every number (node scalars and column values alike) is an int when it is
-integral and a Fraction only when it is not, the rule of
-``series_algebra``.  Brute-force simplex enumeration lives only in
+integral and a Fraction only when it is not, while a GF's coefficients are
+all ints (``series_algebra``).  Brute-force simplex enumeration lives only in
 :mod:`mstep.convolution_oracle`.
 
 ``gf_of_expr`` compiles a tree to a RatFun, one rule per node kind, with
@@ -79,6 +79,7 @@ from .series_algebra import (
     RatFun,
     _coeff,
     _div,
+    integral,
     poly_gcd,
     series_divide,
     shift_series,
@@ -387,8 +388,7 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
     if isinstance(expr, Term):
         return shifted_gf(resolve(expr.seq), expr.shift)
     if isinstance(expr, Geo2):
-        c = Fraction(2) ** expr.offset
-        return RatFun(Poly.const(c), Poly((1, -2)))
+        return RatFun(Fraction(2) ** expr.offset, Poly((1, -2)))
     if isinstance(expr, Sum):
         groups: dict = {}  # denominator -> the sum of the children's numerators over it
         for t in expr.terms:
@@ -419,6 +419,7 @@ def gf_of_expr(expr: SeqExpr) -> RatFun:
             g = f.value * g
         elif isinstance(f, Alt):
             g = g.substitute_neg() if f.offset % 2 == 0 else -g.substitute_neg()
-        elif isinstance(f, NPoly):
-            p = p * Poly(f.coeffs)
+        elif isinstance(f, NPoly):  # q(n)/L with q integral: 1/L scales g, q joins p
+            q, den = integral(f.coeffs)
+            p, g = p * q, g if den == 1 else g * Fraction(1, den)
     return g if p == P_ONE else _apply_npoly(p, g)

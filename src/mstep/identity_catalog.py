@@ -35,7 +35,7 @@ from contextlib import closing
 
 from . import expressions as ex  # read by attribute, so the lazy module runs late: a lower peak
 from .sequences import MAX_DEN_DEGREE, resolve
-from .series_algebra import Poly, RatFun, _coeff, agrees_from, gf_of
+from .series_algebra import RatFun, _coeff, agrees_from, gf_of
 
 
 class Identity(namedtuple("Identity", "id kind lhs rhs n0 params paper_quote negative")):
@@ -81,7 +81,7 @@ def kernel_check(spec, combo: dict, corrections: dict | None = None, n0: int = 0
     """
     corrections = corrections or {}
     top = max(corrections, default=-1)
-    total = RatFun(Poly([corrections.get(n, 0) for n in range(top + 1)]))
+    total = RatFun([corrections.get(n, 0) for n in range(top + 1)])
     terms = [ex.scale(c, ex.term(spec, s)) for s, c in combo.items()]
     if terms:
         total = total + ex.gf_of_expr(ex.add(*terms))
@@ -211,7 +211,7 @@ def compile_gf(tree) -> RatFun:
     if tag == "seqgf":
         return gf_of(resolve(tree[1]))
     if tag == "poly":
-        return RatFun(Poly(tree[1]))
+        return RatFun(tree[1])
     if tag == "add":
         return sum(map(compile_gf, tree[2:]), compile_gf(tree[1]))
     if tag == "mul":

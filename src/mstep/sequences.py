@@ -38,8 +38,9 @@ _MSTEP_NAMES = {
 # shapes at the cap, best of three cold runs, 2-vCPU VM (README, caps): `seq
 # --name F500 --to 10000` 0.5 s, the seq side conv(F311 + F2, F3 + ... + F19)
 # 0.1 s under `verify --all --max-n 2000 --symbolic`, `solve --factors
-# F1,pow2,F,pell,T,Q,P,F6,F7,F8,F10,F451` 3.5 s (4.0 s and 23 MB with
-# `--oracle-n 500`), gf sides adding 16 dense fractions 1/p 0.4 s, gf sides
+# F1,pow2,F,pell,T,Q,P,F6,F7,F10,F100,F351` 4.8 s and `...,F8,F10,F451` 3.8 s
+# (4.3 s and 21 MB with `--oracle-n 500`; timed later, on a slower day of the VM),
+# gf sides adding 16 dense fractions 1/p 0.4 s, gf sides
 # 1/(p*c) against 1/(q*c) with a shared dense factor c 0.1 s.
 MAX_DEN_DEGREE = 500
 

@@ -1,11 +1,17 @@
-"""Exact polynomial and rational-function arithmetic over the rationals.
+"""Exact polynomial and rational-function arithmetic over the integers.
 
 This is the proof engine behind every generating-function identity in the
-package: dense polynomials whose coefficients are ``int`` wherever the value
-is an integer and ``fractions.Fraction`` only where it is not, a
-rational-function type whose equality is mathematical equality, Bezout
-inverses for partial fractions, Taylor-coefficient extraction, and the
-x -> -x substitution used by the alternating-sum identities.
+package: dense polynomials with ``int`` coefficients, a rational-function
+type whose equality is mathematical equality, Bezout inverses for partial
+fractions, Taylor-coefficient extraction, and the x -> -x substitution used
+by the alternating-sum identities.  Every identity has integer recurrences,
+so every GF is an integer polynomial over an integer polynomial.  Rationals
+enter only through ``RatFun(num, den)`` (``integral`` clears a scalar's or a
+coefficient list's denominators), and a ``Fraction`` scalar p/q multiplies
+num by p and den by q.  Scalars, such as series values, are ``int`` where
+integral and ``fractions.Fraction`` only where not.  Division stays in the
+ring: ``prem`` is the one pseudo-remainder, ``//`` is exact over the integers,
+and ``bezout``'s cofactor is integral with a separate scalar.
 
 Polynomial gcds and Bezout inverses are fraction-free: one primitive
 polynomial remainder sequence (Collins 1967; Brown & Traub 1971) takes
@@ -39,9 +45,10 @@ a d == c b, and ``agrees_from`` divides a d - c b by b d.
 
 Index shifts take no gcd.  For a power series f = N/D (D(0) != 0, so x is
 coprime to D), ``shift_series(f, s)``, the GF of n -> f_{n+s}, is x^|s| N/D
-for s < 0 and ((N - P D)/x^s)/D for s > 0, with P = f_0 + ... + f_{s-1}
-x^(s-1); both keep the denominator D and are in lowest terms when N/D is,
-since gcd(N - P D, D) = gcd(N, D).
+for s < 0 and ((L N - P D)/x^s)/(L D) for s > 0, where P/L = f_0 + ... +
+f_{s-1} x^(s-1) with P integral; L = 1, so the denominator stays D, when
+D(0) = +-1.  Both are in lowest terms up to a scalar when N/D is, since
+gcd(L N - P D, D) = gcd(N, D).
 
 The module imports nothing from the package: ``gf_of`` reads a spec's
 ``coeffs`` and ``seeds`` only, so it and ``sequences`` are independent.
@@ -71,36 +78,20 @@ def _div(a, b):
     return _coeff(Fraction(a, b))
 
 
-def _integral(cs) -> list:
-    """The coefficients times the lcm of their denominators, all ints."""
-    den = 1
-    for c in cs:
-        if type(c) is not int:
-            den = math.lcm(den, c.denominator)
-    if den == 1:
-        return list(cs)
-    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs]
-
-
 class Poly:
-    """Dense univariate polynomial; coeffs[k] is the coefficient of x^k.
+    """Dense univariate polynomial; coeffs[k] is the int coefficient of x^k.
 
     The coefficient list never has a trailing zero; the zero polynomial is
-    the empty tuple (degree -1).  Integral coefficients are stored as int.
+    the empty tuple (degree -1).  Rationals enter only through ``integral``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- construction helpers -------------------------------------------
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly((c,))
 
     # -- basic structure -------------------------------------------------
     @property
@@ -153,8 +144,10 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             return Poly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -168,27 +161,20 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        """Long division by the leading term; raises on a zero divisor."""
+    def __floordiv__(self, other):
+        """Exact quotient over the integers; raises ValueError on a non-divisor."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.coeffs[-1]
-        quo = [0] * max(dd - dv + 1, 0)
-        for k in range(dd - dv, -1, -1):
-            c = _div(rem[k + dv], lead)
-            if c:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+        rem, bs, r = list(self.coeffs), other.coeffs, 0
+        quo = [0] * max(len(rem) - len(bs) + 1, 0)
+        for k in reversed(range(len(quo))):
+            quo[k], r = divmod(rem.pop(), bs[-1])
+            if r:
+                break
+            rem[k:] = [x - quo[k] * y for x, y in zip(rem[k:], bs)]  # bs's lead cancelled the pop
+        if r or any(rem):
+            raise ValueError(f"{other} does not divide {self} over the integers")
+        return Poly(quo)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
@@ -207,7 +193,7 @@ class Poly:
         """Integral coefficients, content 1, lowest nonzero coefficient > 0."""
         if self.is_zero():
             return self
-        cs = _integral(self.coeffs)
+        cs = self.coeffs
         g = math.gcd(*cs)
         if cs[self.valuation()] < 0:
             g = -g
@@ -244,14 +230,25 @@ P_ZERO = Poly()
 P_ONE = Poly((1,))
 
 
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder of integral a by integral b, up to a nonzero integer
-    factor: each step scales by lead(b)/g rather than lead(b), where g is the
-    gcd of lead(b) and the coefficient being cancelled."""
+def integral(x):
+    """(P, L) with x = P/L: an integral Poly P and an int L > 0, the lcm of
+    the denominators, for x a scalar or a list of rational coefficients."""
+    cs = (x,) if isinstance(x, (int, Fraction)) else tuple(x)
+    den = math.lcm(*(c.denominator for c in cs))
+    return Poly([c.numerator * (den // c.denominator) for c in cs]), den
+
+
+def prem(a: Poly, b: Poly):
+    """The one pseudo-remainder: (s, r) with s an int != 0, s*a = r (mod b)
+    and deg r < deg b.  Each step scales by lead(b)/g rather than lead(b),
+    where g is the gcd of lead(b) and the coefficient being cancelled; s is
+    the product of those scales."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
     r = list(a.coeffs)
     bs = b.coeffs
     db = len(bs) - 1
-    lead = bs[-1]
+    lead, s = bs[-1], 1
     for top in range(len(r) - 1, db - 1, -1):
         c = r.pop()
         if not c:
@@ -260,16 +257,17 @@ def _prem(a: Poly, b: Poly) -> Poly:
         cl, cc = lead // g, c // g
         if cl != 1:
             r = [cl * x for x in r]
+            s *= cl
         k = top - db
         for j in range(db):
             r[k + j] -= cc * bs[j]
-    return Poly(r)
+    return s, Poly(r)
 
 
 def _prs(a: Poly, b: Poly, w: int) -> Poly:
     """Primitive PRS of integral a, b: the last a before deg b drops below w."""
     while b.degree >= w:
-        a, b = b, _prem(a, b).primitive()
+        a, b = b, prem(a, b)[1].primitive()
     return a
 
 
@@ -317,19 +315,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             return P_ONE
         scale, half = math.gcd(a.coeffs[-1], b.coeffs[-1]) * pow(g[-1], -1, _P), _P // 2
         h = Poly([(c * scale + half) % _P - half for c in g]).primitive()  # symmetric residues
-        if not (_prem(a, h) or _prem(b, h)):
+        if not (prem(a, h)[1] or prem(b, h)[1]):
             return h
     return _prs(a, b, 0)
 
 
 def bezout(a: Poly, b: Poly):
-    """Extended Euclid's one cofactor: returns (u, g) with g = gcd(a, b) and
-    u*a = g (mod b), so u is the inverse of a mod b when they are coprime.
+    """Extended Euclid's one cofactor, integral: returns (s, c, g) with
+    g = gcd(a, b), c an int != 0 and s*a = c*g (mod b), so s/c is the
+    inverse of a mod b when they are coprime.
 
     ``poly_gcd``'s PRS runs on integral rows x^w r + s from (a, 1) and
     (b, 0), w > deg a, deg b > deg s; it divides r alone and every row keeps
-    s*a = r (mod b).  The last row with r != 0 has r = c*g; u = s/c is
-    Euclid's last cofactor, so deg u < deg b - deg g when b != 0 (u = 0 when
+    s*a = r (mod b).  The last row with r != 0 has r = c*g; s/c is
+    Euclid's last cofactor, so deg s < deg b - deg g when b != 0 (s = 0 when
     b | a).
     """
     if a.is_zero() and b.is_zero():
@@ -340,7 +339,7 @@ def bezout(a: Poly, b: Poly):
               Poly(pad + (0,) + b.coeffs).primitive(), w).coeffs
     g = Poly(cs[w:]).primitive()
     c = cs[w + g.valuation()] // g[g.valuation()]
-    return Poly([_div(x, c) for x in cs[:w]]), g
+    return Poly(cs[:w]), c, g
 
 
 class NotAPowerSeries(ValueError):
@@ -348,16 +347,17 @@ class NotAPowerSeries(ValueError):
 
 
 class RatFun:
-    """Rational function num/den over the rationals, stored as given;
-    ``lowest`` is the one reducer (module docstring)."""
+    """Rational function num/den of integral polynomials, stored as given;
+    ``lowest`` is the one reducer.  num and den may each be a Poly, a scalar
+    or a list of rational coefficients, cleared by ``integral``."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=P_ONE):
-        if not isinstance(num, Poly):
-            num = Poly.const(num) if isinstance(num, (int, Fraction)) else Poly(num)
-        if not isinstance(den, Poly):
-            den = Poly.const(den) if isinstance(den, (int, Fraction)) else Poly(den)
+        num, q = (num, 1) if isinstance(num, Poly) else integral(num)
+        den, p = (den, 1) if isinstance(den, Poly) else integral(den)
+        if p != q:  # (N/q)/(D/p) = (p N)/(q D)
+            num, den = num * p, den * q
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = num, den
@@ -380,12 +380,6 @@ class RatFun:
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def as_polynomial(self) -> Poly:
-        q, r = divmod(self.num, self.den)
-        if r:
-            raise ValueError(f"not a polynomial: {self}")
-        return q
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -420,8 +414,9 @@ class RatFun:
         return RatFun(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFun(self.num * other, self.den)
+        if isinstance(other, (int, Fraction)):  # p/q multiplies num by p and den by q
+            q = other.denominator
+            return RatFun(self.num * other.numerator, self.den * q if q != 1 else self.den)
         other = _as_ratfun(other)
         return RatFun(self.num * other.num, self.den * other.den)
 
@@ -478,7 +473,7 @@ def agrees_from(f: RatFun, g, n0: int) -> bool:
     if t.is_zero():
         return True
     # b*d is formed only when the degrees allow a quotient of degree < n0
-    return t.degree - sum(p.degree for p in dens) < n0 and not t % math.prod(dens)
+    return t.degree - sum(p.degree for p in dens) < n0 and not prem(t, math.prod(dens))[1]
 
 
 def series_coeffs(f: RatFun, count: int) -> list:
@@ -516,15 +511,17 @@ def series_divide(num, den: Poly, count: int) -> list:
 
 
 def shift_series(f: RatFun, s: int) -> RatFun:
-    """GF of n -> f_{n+s}, one-sided (f_k = 0 for k < 0), without a gcd;
-    raises NotAPowerSeries when den(0) = 0."""
+    """GF of n -> f_{n+s}, one-sided (f_k = 0 for k < 0), without a gcd:
+    num' = L*N - P*D over den' = L*D (module docstring); raises
+    NotAPowerSeries when den(0) = 0."""
     num, den = f.num, f.den
     if den[0] == 0:
         raise NotAPowerSeries(f"den(0) = 0 in {den}")
     if s <= 0:
         return RatFun(num.shift(-s), den)
-    num = num - Poly(series_coeffs(f, s)) * den
-    return RatFun(Poly(num.coeffs[s:]), den)
+    prefix, scale = integral(series_coeffs(f, s))  # the first s terms, times scale
+    num = num * scale - prefix * den
+    return RatFun(Poly(num.coeffs[s:]), den if scale == 1 else den * scale)
 
 
 # (spec, shift) -> GF of n -> a_{n+shift}; shift 0 is gf_of.  Unbounded:
@@ -546,7 +543,7 @@ def gf_of(spec) -> RatFun:
         den, seeds = [1] + [-c for c in spec.coeffs], spec.seeds
         num = [sum(seeds[j] * den[k - j] for j in range(max(0, k + 1 - len(den)), k + 1))
                for k in range(len(seeds))]
-        g = _GFS[(spec, 0)] = RatFun(Poly(num), Poly(den)).lowest()
+        g = _GFS[(spec, 0)] = RatFun(num, den).lowest()  # integral clears rational specs
     return g
 
 

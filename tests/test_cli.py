@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from mstep import expressions as ex
 from mstep.cli import main
 from mstep.identity_catalog import MAX_DEPTH, MAX_NPOLY_DEGREE, MAX_SHIFT
 from mstep.sequences import MAX_DEN_DEGREE
+from mstep.series_algebra import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -193,6 +195,45 @@ def test_verify_prints_every_outcome_of_the_four(tmp_path, capsys):
 def test_verify_all_json_is_pinned_by_its_digest(capsys, flags, digest):
     code, out = run(capsys, "verify", "--all", "--max-n", "200", "--format", "json", *flags)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# jacobsthal and pow2 give the only pinned denominators whose leading coefficient is -2
+@pytest.mark.parametrize("argv, digest", [
+    (["table", "--max", "14"], "e8b202b57980f5ad1f7446d13e895f7b154c690d3da8da8060a9de5ee92187fa"),
+    (["solve", "--factors", "jacobsthal,F,T,Q,P"],
+     "ffd84a36f0f92fb3c5929c689e00b5b239895bc1d480b9e071527925a6ee4d94"),
+    (["solve", "--factors", "pow2,pell,T,F7"],
+     "bc4701fbb9f2ebdf2c6f0de28738c5669285da292fdd60a7c9fb300c9af184f8"),
+    (["solve", "--factors", "F1,pow2,F,pell,T,Q,P"],
+     "95e24fd0cb72f63acde7fbf490148085c2a1e4dd289c82f5e0d2cd534c848e55"),
+], ids=["table-14", "jacobsthal-F-T-Q-P", "pow2-pell-T-F7", "F1-pow2-F-pell-T-Q-P"])
+def test_solver_json_is_pinned_by_its_digest(capsys, argv, digest):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_poly_the_cli_builds_has_int_coefficients(monkeypatch, capsys):
+    """Rationals enter only through RatFun: no Poly built by these commands,
+    memoised GFs and terms rebuilt, holds a coefficient that is not an int."""
+    built, init = [0, 0], Poly.__init__  # Polys built, non-int coefficients seen
+
+    def counting_init(self, coeffs=()):
+        init(self, coeffs)
+        built[0] += 1
+        built[1] += sum(type(c) is not int for c in self.coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    ex.clear_caches()
+    for argv in (["verify", "--all", "--max-n", "200"],
+                 ["verify", "--all", "--max-n", "200", "--symbolic"],
+                 ["table", "--max", "12"],
+                 ["search", "--m", "4", "--max-p", "14", "--max-k", "3", "--max-span", "6"],
+                 ["solve", "--factors", "jacobsthal,F,T,Q,P"],
+                 ["solve", "--factors", "pow2,pell,T,F7"],
+                 ["solve", "--factors", "F1,pow2,F,pell,T,Q,P"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    ex.clear_caches()
+    assert built[0] > 5000 and built[1] == 0, built
 
 
 def test_solve_latex_form(capsys):

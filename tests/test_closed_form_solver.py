@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -265,6 +267,21 @@ def test_check_oracle_rejects_a_wrong_coefficient_or_correction():
     assert not late.check_oracle(41) and late.oracle_max_n == 40
     late_wrong = ClosedForm(wrong_coeff.factors, wrong_coeff.parts, {**cf.corrections, 41: 1})
     assert not late_wrong.check_oracle(40) and late_wrong.oracle_max_n == -1
+
+
+@pytest.mark.parametrize("others, digest", [
+    (["T"], "f951e801f738dfeb8db490569071d531ad904f6ce0e71af52893b4327f7fbcb6"),
+    (["pow2", "T", "pell"], "725cc36fd8596af2e2341629b44a31904725a23c5d29b3b7a57971ba74ec7591"),
+    (["jacobsthal", "Q"], "cd24414a98c797b91b44ccdf10fd6a23c1a50be4929496768375373592baa908"),
+], ids=["T", "pow2-T-pell", "jacobsthal-Q"])
+def test_a_non_monomial_numerator_solve_is_pinned_by_its_digest(others, digest):
+    """The Lucas numbers' GF numerator 2 - x takes the Bezout rewrite, whose
+    leftover polynomial lands in the corrections."""
+    lucas = resolve("F")._replace(name="lucas", seeds=(2, 1))
+    cf = solve_conv_multi([lucas, *others])
+    assert cf.corrections and cf.check_oracle(60)
+    doc = json.dumps(cf.to_json()) + "\n" + cf.text()
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_combo_gf_is_the_one_sided_shift_combination():

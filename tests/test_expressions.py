@@ -8,8 +8,8 @@ from mstep import expressions as ex
 from mstep.cli import main
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep import identity_catalog as catalog
-from mstep.identity_catalog import (Identity, expr_from_json, expr_to_json, load_manifest,
-                                    verdict, verdicts)
+from mstep.identity_catalog import (Identity, compile_gf, expr_from_json, expr_to_json,
+                                    load_manifest, verdict, verdicts)
 from mstep import sequences
 from mstep.sequences import handle
 from mstep import series_algebra
@@ -57,6 +57,65 @@ def test_evaluate_range_agrees_with_pointwise():
             c = e.offset
             naive = conv_multi_prefix([k.seq for k in e.kernels], 40 + c)
             assert ranged == [naive[n + c] if n + c >= 0 else 0 for n in range(41)]
+
+
+def test_a_shifted_conv_of_a_negative_geo2_clears_its_prefix_denominator():
+    """Regression: 2^(n-1) has GF (1/2)/(1 - 2x), so the single-kernel conv
+    shifted by +1 has the prefix 1/2; shift_series scales it by L = 2
+    against the unscaled den: num' = L*N - P*D, den' = L*D."""
+    e = ex.ConvAtom((ex.Geo2(-1),), 1)
+    g = ex.gf_of_expr(e)
+    assert all(type(c) is int for c in g.num.coeffs + g.den.coeffs)
+    assert series_coeffs(g, 40) == ex.evaluate_range(e, 40)
+    assert str(g) == "(3 - 2*x)/(2 - 6*x + 4*x^2)"
+
+
+# each rational entry path, and its GF as printed while Poly still took Fractions
+RATIONAL_ENTRIES = [
+    (ex.geo2(-3), "1/(8 - 16*x)"),
+    (ex.conv(ex.geo2(-2), ex.term("F"), offset=2),
+     "(3 - x - 2*x^2)/(4 - 12*x + 4*x^2 + 8*x^3)"),
+    (ex.scale(Fraction(2, 3), ex.term("T", 2)), "(2 + 2*x + 2*x^2)/(3 - 3*x - 3*x^2 - 3*x^3)"),
+    (ex.conv(ex.scale(Fraction(1, 3), ex.term("F")), ex.term("pell"), offset=3),
+     "(3 - 3*x^2 - x^3)/(3 - 9*x + 9*x^3 + 3*x^4)"),
+    (ex.mul(ex.npoly(Fraction(1, 2), Fraction(-3, 4)), ex.term("Q", 1)),
+     "(2 - 5*x - 8*x^2 - 11*x^3 - 14*x^4)/"
+     "(4 - 8*x - 4*x^2 + 4*x^4 + 16*x^5 + 12*x^6 + 8*x^7 + 4*x^8)"),
+    (ex.mul(ex.npoly(Fraction(1, 2)), ex.npoly(0, Fraction(1, 3)), ex.term("jacobsthal")),
+     "(x + 2*x^3)/(6 - 12*x - 18*x^2 + 24*x^3 + 24*x^4)"),
+    (ex.mul(ex.const(Fraction(5, 6)), ex.alt(1), ex.npoly(Fraction(1, 5), 1)),
+     "(-1 + 4*x)/(6 + 12*x + 6*x^2)"),
+    (ex.conv(ex.mul(ex.npoly(Fraction(1, 2), 1), ex.term("F")), offset=2),
+     "(8 - 2*x - 9*x^2 + 3*x^3 + 3*x^4)/(2 - 6*x + 2*x^2 + 6*x^3 - 2*x^4 - 2*x^5)"),
+    (ex.add(ex.conv(ex.geo2(-1), ex.scale(Fraction(3, 2), ex.term("T")), offset=1), ex.geo2(-2)),
+     "(4 - x - x^2 - x^3)/(4 - 12*x + 4*x^2 + 4*x^3 + 8*x^4)"),
+]
+GF_TREE_ENTRIES = [
+    (["poly", [Fraction(1, 2), Fraction(-2, 3)]], "(3 - 4*x)/6"),
+    (["mul", ["poly", [Fraction(3, 4), 0, Fraction(1, 6)]], ["seqgf", "F"]],
+     "(9*x + 2*x^3)/(12 - 12*x - 12*x^2)"),
+    (["div", ["seqgf", "T"], ["poly", [Fraction(1, 2), Fraction(1, 3)]]],
+     "6*x/(3 - x - 5*x^2 - 5*x^3 - 2*x^4)"),
+    (["add", ["poly", [Fraction(1, 2)]], ["subneg", ["seqgf", "pell"]]],
+     "(1 - x^2)/(2 + 4*x - 2*x^2)"),
+]
+
+
+@pytest.mark.parametrize("expr, printed", RATIONAL_ENTRIES,
+                         ids=[f"entry{k}" for k in range(len(RATIONAL_ENTRIES))])
+def test_rational_entries_compile_to_integral_pairs(expr, printed):
+    g = ex.gf_of_expr(expr)
+    assert all(type(c) is int for c in g.num.coeffs + g.den.coeffs)
+    assert series_coeffs(g, 40) == ex.evaluate_range(expr, 40)
+    assert str(g) == printed
+
+
+@pytest.mark.parametrize("tree, printed", GF_TREE_ENTRIES,
+                         ids=[f"tree{k}" for k in range(len(GF_TREE_ENTRIES))])
+def test_rational_poly_leaves_compile_to_integral_pairs(tree, printed):
+    g = compile_gf(tree)
+    assert all(type(c) is int for c in g.num.coeffs + g.den.coeffs)
+    assert str(g) == printed
 
 
 def test_integral_columns_hold_ints():

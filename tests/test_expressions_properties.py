@@ -11,6 +11,7 @@ and leaves no table or plan behind, raising or not.
 ``gf_degree`` both degrees of a compiled gf tree.  The npoly
 rule equals the per-power rule it replaced, kept here as the reference."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,8 @@ from mstep import series_algebra
 from mstep.convolution_oracle import conv_multi_prefix
 from mstep.identity_catalog import (Identity, compile_gf, den_degree, gf_degree, load_manifest,
                                     verdict, verdicts)
-from mstep.series_algebra import (P_ONE, Poly, RatFun, poly_gcd, series_coeffs, series_divide,
-                                   shift_series)
+from mstep.series_algebra import (P_ONE, Poly, RatFun, integral, poly_gcd, series_coeffs,
+                                   series_divide, shift_series)
 
 LENGTH = 30
 
@@ -63,6 +64,76 @@ def test_evaluate_range_is_the_series_of_the_gf(e):
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
 
 
+# -- rationals enter only through RatFun ------------------------------------------
+
+proper_fractions = st.fractions(-3, 3, max_denominator=4).filter(lambda q: q.denominator != 1)
+rational_leaves = st.one_of(
+    terms,
+    st.lists(st.one_of(st.integers(-3, 3), proper_fractions), min_size=1, max_size=3)
+    .map(lambda cs: ex.npoly(*cs)),
+    st.integers(-4, -1).map(ex.geo2),
+    proper_fractions.map(ex.const),
+)
+# Fraction scales, and convs whose kernels' den(0) is not +-1 once a scale,
+# a Fraction NPoly or a negative Geo2 sits below them
+rational_trees = st.recursive(rational_leaves, lambda children: st.one_of(
+    st.builds(ex.Scale, proper_fractions, children),
+    st.builds(lambda ks, c: ex.ConvAtom(tuple(ks), c),
+              st.lists(children, min_size=1, max_size=2), st.integers(0, 3)),
+    st.builds(lambda fs, base: ex.Product((*fs, base)),
+              st.lists(pointwise_scalars, min_size=1, max_size=2), children),
+    st.lists(children, min_size=2, max_size=3).map(lambda ts: ex.Sum(tuple(ts))),
+), max_leaves=4)
+rational_lists = st.lists(st.one_of(st.integers(-3, 3), proper_fractions), min_size=1,
+                          max_size=4)
+# manifest gf trees with Fraction poly leaves, each a power series
+gf_trees = st.one_of(
+    rational_lists.map(lambda cs: ["poly", cs]),
+    st.builds(lambda cs, name: ["mul", ["poly", cs], ["seqgf", name]],
+              rational_lists, st.sampled_from(["F", "T", "pell", "jacobsthal"])),
+    st.builds(lambda cs, name: ["div", ["seqgf", name], ["poly", cs]],
+              rational_lists.filter(lambda cs: cs[0] != 0), st.sampled_from(["F", "pow2"])),
+)
+
+
+def assert_integral_and_canonical(g: RatFun) -> None:
+    """Every coefficient is an int, and g.lowest(), which str prints, is the
+    one canonical form: coprime, joint content 1, den's lowest term > 0."""
+    assert all(type(c) is int for c in g.num.coeffs + g.den.coeffs)
+    low = g.lowest()
+    assert low == g and str(low) == str(g)
+    assert all(type(c) is int for c in low.num.coeffs + low.den.coeffs)
+    assert poly_gcd(low.num, low.den).degree <= 0
+    assert math.gcd(*low.num.coeffs, *low.den.coeffs) == 1 and low.den[low.den.valuation()] > 0
+
+
+@settings(deadline=None, max_examples=120)
+@given(rational_trees)
+def test_rational_entry_paths_compile_to_integral_gfs(e):
+    g = ex.gf_of_expr(e)
+    assert_integral_and_canonical(g)
+    assert series_coeffs(g, LENGTH) == ex.evaluate_range(e, LENGTH)
+
+
+@settings(deadline=None, max_examples=80)
+@given(gf_trees)
+def test_rational_poly_leaves_compile_to_integral_gfs(tree):
+    g = compile_gf(tree)
+    assert_integral_and_canonical(g)
+    tag = tree[0]
+    if tag == "poly":
+        want = tree[1] + [0] * (LENGTH - len(tree[1]))
+    else:
+        leaf, seqgf = (tree[1], tree[2]) if tag == "mul" else (tree[2], tree[1])
+        seq = ex.evaluate_range(ex.term(seqgf[1]), LENGTH)
+        if tag == "mul":
+            want = direct_product((leaf[1] + [0] * LENGTH)[:LENGTH], seq)
+        else:  # seq / (p/den), with p(0) != 0
+            p, den = integral(leaf[1])
+            want = series_divide([den * v for v in seq], p, LENGTH)
+    assert series_coeffs(g, LENGTH) == want
+
+
 seq_terms = st.builds(ex.Term, st.sampled_from(["F", "T", "pell"]), shifts)
 summands = st.one_of(seq_terms, st.builds(ex.Scale, scalars.filter(bool), seq_terms),
                      consts, alts)
@@ -100,10 +171,11 @@ def direct_product(a, b):
 
 ONE_MINUS_X = Poly((1, -1))
 numbers = st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=5))
-# any hint with D(0) != 0: D = 1, hints that annihilate b, and hints that do not
+# any hint with D(0) != 0: D = 1, hints that annihilate b, and hints that do not;
+# a hint is a Poly, so a rational one enters with its denominators cleared
 hints = st.one_of(
     st.just(P_ONE),
-    st.builds(lambda d0, rest: Poly((d0, *rest)), numbers.filter(bool),
+    st.builds(lambda d0, rest: integral((d0, *rest))[0], numbers.filter(bool),
               st.lists(numbers, max_size=4)),
 )
 
@@ -236,12 +308,12 @@ def naive_apply_npoly(coeffs, g):
     """The per-power rule that ``expressions._apply_npoly`` replaced, kept as
     the reference: x d/dx one power at a time, each by a reduced derivative,
     a shift and an add."""
-    acc = RatFun(Poly.const(coeffs[0])) * g if coeffs else RatFun(Poly())
+    acc = RatFun(coeffs[0]) * g if coeffs else RatFun(Poly())
     power = g
     for c in coeffs[1:]:
         power = shift_series(_ratfun_derivative(power), -1)
         if c:
-            acc = acc + RatFun(Poly.const(c)) * power
+            acc = acc + RatFun(c) * power
     return acc
 
 
@@ -256,7 +328,8 @@ npoly_bases = st.one_of(trees, st.just(ex.const(0)))  # the zero GF too
 def test_npoly_rule_equals_the_per_power_rule(coeffs, base, second):
     g = ex.gf_of_expr(base)
     want = naive_apply_npoly(coeffs, g)
-    assert ex._apply_npoly(Poly(coeffs), g) == want
+    p, scale = integral(coeffs)  # the rule takes an integral p: p(n)/scale
+    assert ex._apply_npoly(p, g) * Fraction(1, scale) == want
     assert ex.gf_of_expr(ex.mul(ex.npoly(*coeffs), base)) == want
     if second is not None:
         # the NPoly factors of one product apply as their product

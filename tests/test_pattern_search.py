@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mstep.pattern_search import PatternSolution, _split, search
 from mstep.sequences import handle, make_mstep
-from mstep.series_algebra import P_ONE, P_ZERO, Poly, gf_of
+from mstep.series_algebra import P_ONE, P_ZERO, Poly, gf_of, prem
 
 
 def window_combo(K, p: int) -> dict:
@@ -25,7 +25,9 @@ def scan_search(m, p_max, k_card_max, k_span_max, l_window=None):
     chi = Poly(reversed(gf_of(make_mstep(m)).den.coeffs))
     residues = [P_ONE]
     for _ in range(max(k_span_max + p_max + m, l_window or 0)):
-        residues.append(residues[-1].shift(1) % chi)
+        s, r = prem(residues[-1].shift(1), chi)
+        assert s == 1  # chi is monic, so the pseudo-remainder is the remainder
+        residues.append(r)
     solutions = []
     k_sets = []
     for extra in range(min(k_card_max - 1, k_span_max) + 1):
@@ -40,7 +42,7 @@ def scan_search(m, p_max, k_card_max, k_span_max, l_window=None):
                 if r.degree != total.degree:
                     continue
                 N = Fraction(total.coeffs[-1], r.coeffs[-1])
-                if r * N == total:
+                if r * N.numerator == total * N.denominator:
                     solutions.append(PatternSolution(m, K, p, N, l))
                     break
     solutions.sort(key=lambda s: (s.p, s.K, s.l))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mstep import expressions as ex, series_algebra
+from mstep.closed_form_solver import solve_conv_multi
 from mstep.sequences import RecurrenceSpec, handle, make_mstep, registry
 from mstep.series_algebra import (
     NotAPowerSeries,
@@ -15,6 +16,7 @@ from mstep.series_algebra import (
     bezout,
     gf_of,
     poly_gcd,
+    prem,
     series_coeffs,
     shifted_gf,
 )
@@ -32,27 +34,40 @@ def test_derivative():
     assert P(1, -2, 0, 1).derivative() == P(-2, 0, 3)
 
 
-def test_divmod_against_reconstruction():
-    q, r = divmod(P(0, 0, 1), P(1, -1, -1))
-    assert q == P(-1) and r == P(1, -1)
-    assert q * P(1, -1, -1) + r == P(0, 0, 1)
+def test_prem_against_reconstruction():
+    s, r = prem(P(0, 0, 1), P(1, -1, -1))
+    assert s == -1 and r == P(-1, 1)  # lead -1 scales the one step by -1
+    assert (P(0, 0, 1) * s - r) // P(1, -1, -1) * P(1, -1, -1) + r == P(0, 0, 1) * s
+    s, r = prem(P(0, 0, 1), P(1, 0, 2))  # lead 2: 2*x^2 = -1 (mod 1 + 2x^2)
+    assert s == 2 and r == P(-1)
 
 
-def test_divmod_random_reconstruction():
+def test_prem_random_reconstruction():
     rng = random.Random(7)
     for _ in range(120):
         a = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 9))])
         b = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))])
         if b.is_zero():
             continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
+        s, r = prem(a, b)
+        q = (a * s - r) // b  # b divides s*a - r: exact division raises otherwise
+        assert s != 0 and q * b + r == a * s
         assert r.degree < b.degree
+
+
+def test_exact_division_raises_on_a_non_divisor():
+    assert P(2, 2) // P(1, 1) == P(2) and P(0, 0, 3) // P(0, 1) == P(0, 3)
+    assert Poly() // P(3, 1) == Poly()
+    for a, b in ((P(1, 2), P(1, 1)), (P(1), P(2)), (P(2, 1, 1), P(1, 2)), (P(1), P(1, 1))):
+        with pytest.raises(ValueError, match="does not divide"):
+            a // b
 
 
 def test_division_by_zero_poly():
     with pytest.raises(ZeroDivisionError):
-        divmod(P(1, 2), Poly())
+        prem(P(1, 2), Poly())
+    with pytest.raises(ZeroDivisionError):
+        P(1, 2) // Poly()
 
 
 def test_bezout_certificate_random():
@@ -62,27 +77,44 @@ def test_bezout_certificate_random():
         b = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 9))])
         if a.is_zero() and b.is_zero():
             continue
-        u, g = bezout(a, b)
-        assert g == poly_gcd(a, b)
+        s, c, g = bezout(a, b)
+        assert g == poly_gcd(a, b) and c != 0
         if b.is_zero():
-            assert u * a == g
+            assert s * a == g * c
         else:
-            assert ((u * a - g) % b).is_zero()
-            assert u.degree < b.degree - g.degree
+            assert not prem(s * a - g * c, b)[1]
+            assert s.degree < b.degree - g.degree
 
 
 def test_bezout_examples():
     a, b = P(1, -1, -1), P(1, -1, -1, -1)
-    u, g = bezout(a, b)
-    assert g == P_ONE and u == P(4, 3, 2) and (u * a % b) == P_ONE
+    s, c, g = bezout(a, b)
+    assert g == P_ONE and RatFun(s) * Fraction(1, c) == RatFun(P(4, 3, 2))
+    k, r = prem(s * a, b)
+    assert r == P(k * c)
     p = P(2, 0, -4)
-    assert bezout(p, p) == (Poly(), p.primitive())
-    # a | b: u*a = g = a up to content, so u is a constant
-    assert bezout(P(1, -2), P(1, -2) * P(1, 1)) == (P_ONE, P(1, -2))
-    assert bezout(Poly(), P(2, 4)) == (Poly(), P(1, 2))
-    assert bezout(P(2, 4), Poly()) == (P(Fraction(1, 2)), P(1, 2))
+    assert bezout(p, p)[::2] == (Poly(), p.primitive())
+    # a | b: s*a = c*g = a up to content, so s is a constant
+    s, c, g = bezout(P(1, -2), P(1, -2) * P(1, 1))
+    assert (RatFun(s) * Fraction(1, c), g) == (1, P(1, -2))
+    assert bezout(Poly(), P(2, 4))[::2] == (Poly(), P(1, 2))
+    s, c, g = bezout(P(2, 4), Poly())
+    assert (RatFun(s) * Fraction(1, c), g) == (Fraction(1, 2), P(1, 2))
     with pytest.raises(ValueError):
         bezout(Poly(), Poly())
+
+
+def test_a_rational_recurrence_enters_through_ratfun():
+    """gf_of clears a rational spec's denominators, so its GF, its shifts
+    and a solve over it hold only int polynomial coefficients."""
+    spec = RecurrenceSpec("r", 2, (Fraction(1, 2), 1), (0, Fraction(1, 3)))
+    g, up = gf_of(spec), shifted_gf(spec, 2)
+    assert (str(g), str(up)) == ("2*x/(6 - 3*x - 6*x^2)", "(1 + 2*x)/(6 - 3*x - 6*x^2)")
+    assert all(type(c) is int for f in (g, up) for c in f.num.coeffs + f.den.coeffs)
+    assert series_coeffs(g, 8) == handle(spec).values(8)
+    cf = solve_conv_multi([spec, "T"])
+    assert cf.text() == "(1/57)( - 12 r[n+1] - 36 r[n] + 4 T[n+1] + 10 T[n] + 12 T[n-1] )"
+    assert cf.check_oracle(30)
 
 
 def test_ratfun_canonical_equality():
@@ -102,9 +134,9 @@ def test_a_scalar_compares_as_a_constant():
 def test_a_scalar_compares_as_a_constant_poly():
     assert P(3) == 3 and 3 == P(3) and hash(P(3)) == hash(3)
     assert Poly() == 0 and 0 == Poly() and hash(Poly()) == hash(0)
-    assert P(Fraction(1, 2)) == Fraction(1, 2) and Fraction(1, 2) == P(Fraction(1, 2))
-    assert hash(P(Fraction(1, 2))) == hash(Fraction(1, 2))
-    assert P(Fraction(6, 2)) == 3 and P(3) == Fraction(3)
+    assert P(1) != Fraction(1, 2) and Fraction(1, 2) != P(1) and P() != Fraction(1, 2)
+    assert hash(P(3)) == hash(Fraction(3)) and {P(3): "x"}[Fraction(3)] == "x"
+    assert Fraction(6, 2) == P(3) and P(3) == Fraction(3)
     assert P(1, 1) != 1 and 1 != P(1, 1) and P(3) != 4 and Poly() != 3
     assert P(3) != "3" and "3" != P(3) and P(3) != 3.0
     assert hash(P(1, 1)) == hash(P(1, 1)) and P(1, 1) == P(1, 1) and P(1, 1) != P(1, 2)

@@ -1,7 +1,9 @@
-"""Property tests for Poly/RatFun: ring laws, the primitive-PRS gcd and
+"""Property tests for Poly/RatFun: ring laws, the pseudo-remainder and
+exact-division contracts, the primitive-PRS gcd and
 Bezout certificate against naive Euclids over Fractions, uniqueness of the
-canonical form ``RatFun.lowest()`` reduces to, the coefficient types (int
-where integral, Fraction otherwise, never float), a gcd-free constructor
+canonical form ``RatFun.lowest()`` reduces to, the coefficient types (every
+Poly coefficient an int; series values int where integral, Fraction
+otherwise, never float), rationals entering through RatFun, a gcd-free constructor
 and field operations whose lowest terms equal the full-cross-product
 reference, equality with scalars, ``agrees_from`` against the
 subtract-and-reduce rule it replaced, the gcd-free one-sided shift against
@@ -25,7 +27,9 @@ from mstep.series_algebra import (
     _as_ratfun,
     bezout,
     gf_of,
+    integral,
     poly_gcd,
+    prem,
     series_coeffs,
     shift_series,
     shifted_gf,
@@ -35,10 +39,14 @@ props = settings(deadline=None, max_examples=60)
 
 ints = st.integers(-12, 12)
 coeffs = st.one_of(ints, ints, st.fractions(-6, 6, max_denominator=5))
-polys = st.lists(coeffs, max_size=5).map(Poly)
+rational_lists = st.lists(coeffs, max_size=5)  # enter through RatFun, never Poly
+polys = st.lists(ints, max_size=5).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
-int_polys = st.lists(ints, max_size=5).map(Poly)
 nonzero_scalars = st.one_of(ints, st.fractions(-6, 6, max_denominator=5)).filter(bool)
+
+
+def all_int(p: Poly) -> bool:
+    return all(type(c) is int for c in p.coeffs)
 
 
 def well_typed(cs) -> bool:
@@ -72,24 +80,53 @@ def naive_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([c // g for c in ints_])
 
 
+def _trim(x: list) -> list:
+    while x and x[-1] == 0:
+        x.pop()
+    return x
+
+
+def _fmul(x: list, y: list) -> list:
+    out = [Fraction(0)] * max(len(x) + len(y) - 1, 0)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _fsub(x: list, y: list) -> list:
+    n = max(len(x), len(y))
+    return _trim([(x[k] if k < len(x) else 0) - (y[k] if k < len(y) else 0) for k in range(n)])
+
+
+def _fdivmod(x: list, y: list):
+    """Long division of Fraction lists by the leading term of y."""
+    rem, quo = list(x), [Fraction(0)] * max(len(x) - len(y) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + len(y) - 1] / y[-1]
+        for j, b in enumerate(y):
+            rem[k + j] -= c * b
+    return _trim(quo), _trim(rem)
+
+
 def naive_bezout(a: Poly, b: Poly):
     """Extended Euclid over Fractions, as bezout once ran: the remainder
-    sequence by divmod with one cofactor, g = the last remainder made
-    primitive and u reduced mod b/g."""
+    sequence by long division with one cofactor, g = the last remainder made
+    primitive and u reduced mod b/g.  Returns (u as a Fraction list, g)."""
     if a.is_zero() and b.is_zero():
         raise ValueError("bezout of two zero polynomials")
-    r0, r1 = a, b
-    u0, u1 = Poly((1,)), Poly()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
+    r0, r1 = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    u0, u1 = [Fraction(1)], []
+    while r1:
+        q, r = _fdivmod(r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    g = r0.primitive()
+        u0, u1 = u1, _fsub(u0, _fmul(q, u1))
+    g = integral(r0)[0].primitive()
     low = g.valuation()
-    u = u0 * (Fraction(g.coeffs[low]) / r0.coeffs[low])
-    bq = b // g
-    if bq.degree > 0:
-        u = u % bq
+    u = _fmul(u0, [g.coeffs[low] / r0[low]])
+    bq = _fdivmod([Fraction(c) for c in b.coeffs], [Fraction(c) for c in g.coeffs])[0]
+    if len(bq) > 1:
+        u = _fdivmod(u, bq)[1]
     return u, g
 
 
@@ -108,10 +145,24 @@ def test_ring_laws(a, b, c):
 
 @props
 @given(polys, nonzero_polys)
-def test_divmod_reconstructs(a, b):
-    q, r = divmod(a, b)
-    assert q * b + r == a
+def test_prem_reconstructs(a, b):
+    """prem's contract: b divides s*a - r, and deg r < deg b."""
+    s, r = prem(a, b)
+    q = (a * s - r) // b
+    assert s != 0 and q * b + r == a * s
     assert r.degree < b.degree
+
+
+@props
+@given(polys, nonzero_polys)
+def test_exact_division_raises_on_a_non_divisor(a, b):
+    assert (a * b) // b == a
+    q, r = _fdivmod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs])
+    if r or any(c.denominator != 1 for c in q):  # no quotient over the integers
+        with pytest.raises(ValueError, match="does not divide"):
+            a // b
+    else:
+        assert (a // b).coeffs == tuple(int(c) for c in q)
 
 
 @props
@@ -121,9 +172,9 @@ def test_gcd_divides_both_and_matches_naive_euclid(a, b, common):
     g = poly_gcd(a, b)
     assert g == naive_gcd(a, b)
     if not g.is_zero():
-        assert (a % g).is_zero() and (b % g).is_zero()
+        assert not (prem(a, g)[1] or prem(b, g)[1])
         if not common.is_zero():
-            assert (g % common.primitive()).is_zero()
+            assert not prem(g, common.primitive())[1]
 
 
 @props
@@ -131,18 +182,18 @@ def test_gcd_divides_both_and_matches_naive_euclid(a, b, common):
 def test_bezout_certificate(a, b):
     if a.is_zero() and b.is_zero():
         return
-    u, g = bezout(a, b)
-    assert g == poly_gcd(a, b)
+    s, c, g = bezout(a, b)
+    assert g == poly_gcd(a, b) and type(c) is int and c != 0
     if b.is_zero():
-        assert u * a == g
+        assert s * a == g * c
     else:
-        assert ((u * a - g) % b).is_zero()
-        assert u.degree < b.degree - g.degree
+        assert not prem(s * a - g * c, b)[1]
+        assert s.degree < b.degree - g.degree
 
 
 @st.composite
 def bezout_operands(draw):
-    """Rational a, b, not both zero; often with a planted common factor,
+    """Integral a, b, not both zero; often with a planted common factor,
     with one dividing the other, or with one of them zero."""
     a, b, common = draw(polys), draw(polys), draw(nonzero_polys)
     shape = draw(st.sampled_from(["plain", "common", "a|b", "b|a", "a=0", "b=0"]))
@@ -164,13 +215,17 @@ def bezout_operands(draw):
 @given(bezout_operands())
 def test_bezout_equals_the_fraction_euclid(ab):
     a, b = ab
-    assert [p.coeffs for p in bezout(a, b)] == [p.coeffs for p in naive_bezout(a, b)]
+    s, c, g = bezout(a, b)
+    u, want_g = naive_bezout(a, b)
+    assert [Fraction(x, c) for x in s.coeffs] == u and g.coeffs == want_g.coeffs
 
 
 @props
 @given(polys, nonzero_polys, nonzero_scalars)
 def test_canonical_form_is_scale_invariant(a, b, k):
-    assert lowest(RatFun(a * k, b * k)) == lowest(RatFun(a, b))
+    """k may be a Fraction: the scaled lists enter through RatFun."""
+    scaled = RatFun([c * k for c in a.coeffs], [c * k for c in b.coeffs])
+    assert lowest(scaled) == lowest(RatFun(a, b))
 
 
 @props
@@ -195,22 +250,51 @@ def test_field_round_trips(a, b, c, d):
 
 
 @props
-@given(polys, polys, nonzero_polys, nonzero_scalars)
-def test_no_float_coefficients(a, b, c, k):
-    results = [a + b, a - b, a * b, a * k, a.derivative(), a.primitive(), poly_gcd(a, b)]
-    results += list(divmod(a, c))
+@given(polys, polys, nonzero_polys, nonzero_scalars, rational_lists, rational_lists)
+def test_every_poly_coefficient_is_an_int(a, b, c, k, rs, ts):
+    results = [a + b, a - b, a * b, a * c.degree, a.derivative(), a.primitive(),
+               poly_gcd(a, b), prem(a, c)[1], (a * c) // c]
     if not (a.is_zero() and b.is_zero()):
-        results += list(bezout(a, b))
+        s, _, g = bezout(a, b)
+        results += [s, g]
     f = RatFun(a, c)
-    results += [f.num, f.den, (f + RatFun(b, c)).num, (f * k).den]
+    results += [f.num, f.den, (f + RatFun(b, c)).num, (f * k).num, (f * k).den]
+    results += [RatFun(k).num, RatFun(k).den, integral(rs)[0]]
+    if any(ts):
+        r = RatFun(rs, ts)
+        results += [r.num, r.den, (r * k).den, (r + k).num]
     for p in results:
-        assert well_typed(p.coeffs), p.coeffs
+        assert all_int(p), p.coeffs
     if c[0] != 0:
         assert well_typed(series_coeffs(RatFun(a, c), 8))
+        assert well_typed(series_coeffs(RatFun(rs, c), 8))
 
 
 @props
-@given(int_polys, int_polys)
+@given(rational_lists, rational_lists.filter(any), nonzero_scalars)
+def test_rationals_enter_through_ratfun_exactly(rs, ts, k):
+    """integral(x) = (P, L) with x = P/L; RatFun of lists and scalars is
+    their quotient, and a scalar p/q scales num by p and den by q."""
+    p, den = integral(rs)
+    assert all_int(p) and den == math.lcm(*(Fraction(c).denominator for c in rs))
+    assert [Fraction(c, den) for c in p.coeffs] + [0] * (len(rs) - len(p.coeffs)) == rs
+    f = RatFun(rs, ts)
+    assert f * RatFun(ts) == RatFun(rs) and RatFun(k) == k
+    assert f * k == RatFun([c * k for c in rs], ts)
+    g = RatFun(Poly((1, 1)), Poly((1, -1))) * k
+    assert g.num == Poly((1, 1)) * k.numerator and g.den == Poly((1, -1)) * k.denominator
+
+
+def test_poly_times_a_non_int_is_a_type_error():
+    for other in (Fraction(1, 2), Fraction(3), "a", 1.5, None):
+        with pytest.raises(TypeError):
+            Poly((1,)) * other
+        with pytest.raises(TypeError):
+            other * Poly((1, 2))
+
+
+@props
+@given(polys, polys)
 def test_integer_inputs_stay_integer(a, b):
     for p in (a + b, a * b, a - b, poly_gcd(a, b)):
         assert all(type(x) is int for x in p.coeffs)
@@ -374,7 +458,7 @@ def test_a_common_factor_changes_neither_equality_nor_hash(pair, h, k):
     assert unreduced == f and f == unreduced and hash(unreduced) == hash(f)
     assert str(unreduced) == str(f)
     assert (unreduced == g) == (f == g)
-    constant = RatFun(h * k, h)  # a scalar compares and hashes as its value
+    constant = RatFun([c * k for c in h.coeffs], h)  # a scalar compares and hashes as its value
     assert constant == k and k == constant and hash(constant) == hash(k)
     assert f - f == 0 and 0 == f - f and (f == k) == (f == RatFun(k))
 
@@ -405,7 +489,7 @@ def agreement_pairs(draw):
         cs = draw(st.lists(coeffs, min_size=degree + 1, max_size=degree + 1))
         if cs:
             cs[-1] = cs[-1] or 1
-        g = f + Poly(cs)
+        g = f + RatFun(cs)
     h = draw(nonzero_polys)
     if draw(st.booleans()):
         g = RatFun(h * g.num, h * g.den)
@@ -491,15 +575,16 @@ def ref_shift(f: RatFun, s: int) -> RatFun:
     x^-s f for s <= 0, (f - f_0 - ... - f_{s-1} x^(s-1)) / x^s for s > 0."""
     if s <= 0:
         return RatFun(f.num * Poly((0,) * -s + (1,)), f.den).lowest()
-    prefix = Poly(series_coeffs(f, s))
-    return RatFun(f.num - prefix * f.den, f.den * Poly((0,) * s + (1,))).lowest()
+    return ((f - RatFun(series_coeffs(f, s))) / RatFun(Poly((0,) * s + (1,)))).lowest()
 
 
 @props
 @given(power_series, shifts)
 def test_shift_series_equals_the_gcd_normalised_reference(f, s):
     got = shift_series(f, s)
-    assert got.den == f.den and lowest(got) == canonical(ref_shift(f, s))
+    # the denominators of the cleared prefix scale den: den' = L*D
+    assert got.den == f.den * integral(series_coeffs(f, max(s, 0)))[1]
+    assert lowest(got) == canonical(ref_shift(f, s))
     assert poly_gcd(got.num, got.den).degree == 0  # lowest terms up to a scalar, as f is
     series = series_coeffs(f, 12 + max(s, 0))
     want = [series[n + s] if n + s >= 0 else 0 for n in range(12)]
